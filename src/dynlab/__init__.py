@@ -13,17 +13,16 @@ from .errors import (DomainError, ExactDivisionError, NotInvertibleError,
 from .numtheory import (Factorization, core_and_cocore, divisors, euler_phi,
                         factorize, is_prime, mobius, squarefree_divisors)
 from .polycore import (QA, QQ, CoefficientRing, ParamRing, Polynomial,
-                       PrimeField, Rationals, div_exact, euclidean,
-                       is_squarefree, parse_polynomial, poly_gcd, resultant)
+                       PrimeField, Rationals, is_squarefree, parse_polynomial,
+                       poly_gcd, resultant)
 from .necklace import (PsiElement, PsiQuotient, dynamical_necklace,
                        fast_xn1_divides, necklace_operator,
-                       necklace_operator_factored, necklace_poly, psi_reduce,
-                       psi_vanishes)
+                       necklace_operator_factored, necklace_poly, psi_vanishes)
 from .cyclotomic import (CycloFactorReport, cyclo_factor_scan,
                          cyclotomic_candidates, cyclotomic_poly, xn1_divides)
-from .characters import (Character, CoverCertificate, UnitGroup,
-                         char_value_is_one, characters, covers,
-                         equivalence_sweep, hyperplane_forms, unit_group)
+from .characters import (Character, CoverCertificate, UnitGroup, characters,
+                         covers, equivalence_sweep, hyperplane_forms,
+                         unit_group)
 from .dynatomic import (ConditionReport, DivisibilityEvidence,
                         RelationCertificate, RelationTuple,
                         build_relation_certificate, dynatomic_degree,

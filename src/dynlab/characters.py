@@ -56,9 +56,6 @@ class UnitGroup:
     def order(self) -> int:
         return math.prod(self.orders)
 
-    def units(self) -> tuple[int, ...]:
-        return tuple(self.dlog.keys())
-
     def dlog_of(self, q: int) -> tuple[int, ...]:
         r = q % self.modulus
         try:
@@ -95,15 +92,11 @@ class Character:
         return total % L
 
     def value_is_one(self, q: int) -> bool:
+        """Membership of chi in the hyperplane of q: chi(q) = 1."""
         return self._angle_numerator(self.group.dlog_of(q)) == 0
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-
-def char_value_is_one(chi: Character, q: int) -> bool:
-    """Membership of chi in the hyperplane of q: chi(q) = 1."""
-    return chi.value_is_one(q)
 
 
 def _primitive_root_mod_p(p: int) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError, NotInvertibleError
-from .numtheory import core_and_cocore, squarefree_divisors
+from .numtheory import squarefree_divisors
 from .polycore import QQ, Polynomial
 
 
@@ -163,11 +163,6 @@ class PsiQuotient:
             f"[{k}] is not invertible in the (m, n) = ({self.m}, {self.n}) quotient")
 
 
-def psi_reduce(element: PsiElement, quotient: PsiQuotient) -> PsiElement:
-    """Image of a bracket combination in the (m, n) quotient."""
-    return quotient.reduce(element)
-
-
 def necklace_operator(d: int) -> PsiElement:
     """Alternating bracket sum over squarefree divisors: term mu(e) at [d/e]."""
     if d < 1:
@@ -207,7 +202,7 @@ def psi_vanishes(d: int, m: int, n: int) -> bool:
 
     Equivalent to x**m * (x**n - 1) dividing M_d.
     """
-    return psi_reduce(necklace_operator(d), PsiQuotient(m, n)).is_zero
+    return PsiQuotient(m, n).reduce(necklace_operator(d)).is_zero
 
 
 def fast_xn1_divides(d: int, n: int) -> bool:
@@ -253,8 +248,3 @@ def dynamical_necklace(f: Polynomial, d: int) -> Polynomial:
     inv_d = Fraction(1, d) if not ring.characteristic else ring.exact_div(
         ring.coerce(1), ring.coerce(d))
     return acc.scale(inv_d)
-
-
-def cocore(d: int) -> int:
-    """Convenience re-export: d divided by its largest squarefree factor."""
-    return core_and_cocore(d)[1]

@@ -10,6 +10,13 @@ Three coefficient rings are supported:
   elements are tuples of ``Fraction`` in ascending degree with no trailing
   zeros.  This is the ring Q[a], not the fraction field Q(a): divisions that
   would need fraction-field coefficients raise ``ExactDivisionError``.
+  Such a tuple is a Q coefficient vector in ``a``, so Q[a] multiplies and
+  divides its elements with the same kernels as Q[x].
+
+Each ring is a ``CoefficientRing``, the one arithmetic protocol.  It serves
+both the polynomial arithmetic and the subresultant remainder sequences
+behind ``resultant`` and ``poly_gcd``; over Q those sequences run on a
+private integer ring after clearing denominators.
 
 All arithmetic is exact; floating point appears nowhere.  Exact division
 failures carry the offending remainder because a nonzero remainder is
@@ -27,89 +34,19 @@ from .errors import DomainError, ExactDivisionError
 
 
 # ---------------------------------------------------------------------------
-# arithmetic on Q[a] elements (tuples of Fraction, ascending, no trailing 0)
-
-def _qa_strip(cs: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(cs)
-    while n and not cs[n - 1]:
-        n -= 1
-    return tuple(cs[:n])
-
-
-def _qa_add(u: tuple, v: tuple) -> tuple:
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, c in enumerate(v):
-        out[i] += c
-    return _qa_strip(out)
-
-
-def _qa_neg(u: tuple) -> tuple:
-    return tuple(-c for c in u)
-
-
-def _qa_sub(u: tuple, v: tuple) -> tuple:
-    return _qa_add(u, _qa_neg(v))
-
-
-def _qa_mul(u: tuple, v: tuple) -> tuple:
-    if not u or not v:
-        return ()
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            out[i + j] += ui * vj
-    return _qa_strip(out)
-
-
-def _qa_divmod(u: tuple, v: tuple) -> tuple[tuple, tuple]:
-    """Division in Q[a]; always exact stepwise since Q is a field."""
-    if not v:
-        raise ZeroDivisionError("division by the zero element of Q[a]")
-    rem = list(u)
-    dv = len(v) - 1
-    lead = v[-1]
-    quot = [Fraction(0)] * max(len(u) - dv, 0)
-    while len(rem) - 1 >= dv and any(rem):
-        while rem and not rem[-1]:
-            rem.pop()
-        if len(rem) - 1 < dv:
-            break
-        c = rem[-1] / lead
-        k = len(rem) - 1 - dv
-        quot[k] = c
-        for i, vi in enumerate(v):
-            rem[k + i] -= c * vi
-        rem.pop()
-    return _qa_strip(quot), _qa_strip(rem)
-
-
-def _qa_exact_div(u: tuple, v: tuple) -> tuple:
-    q, r = _qa_divmod(u, v)
-    if r:
-        raise ExactDivisionError("inexact coefficient division in Q[a]")
-    return q
-
-
-def _qa_eval(u: tuple, value: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(u):
-        acc = acc * value + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # coefficient rings
 
 class CoefficientRing:
-    """Protocol-style base for the three supported coefficient rings."""
+    """The one arithmetic protocol: Polynomial, the division kernels and the
+    resultant/gcd remainder sequences all call these methods."""
 
     characteristic: int = 0
     is_field: bool = False
     tag: str = "?"
+
+    #: additive and multiplicative identities as ring elements
+    zero = None
+    one = None
 
     def coerce(self, value):
         raise NotImplementedError
@@ -131,6 +68,17 @@ class CoefficientRing:
 
     def exact_div(self, u, v):
         raise NotImplementedError
+
+    def pow(self, u, k: int):
+        """u**k for an int k >= 0, by square-and-multiply on ``mul``."""
+        result = self.one
+        while k:
+            if k & 1:
+                result = self.mul(result, u)
+            k >>= 1
+            if k:
+                u = self.mul(u, u)
+        return result
 
     def format(self, u) -> str:
         raise NotImplementedError
@@ -175,6 +123,44 @@ class Rationals(CoefficientRing):
 
     def __repr__(self) -> str:
         return "QQ"
+
+
+class _Integers(CoefficientRing):
+    """Z on plain ints: the Q resultant and gcd clear denominators into it.
+
+    Arithmetic only; no polynomial is ever built over it.
+    """
+
+    tag = "Z"
+    zero = 0
+    one = 1
+
+    def add(self, u, v):
+        return u + v
+
+    def sub(self, u, v):
+        return u - v
+
+    def mul(self, u, v):
+        return u * v
+
+    def neg(self, u):
+        return -u
+
+    def is_zero(self, u) -> bool:
+        return not u
+
+    def exact_div(self, u, v):
+        q, r = divmod(u, v)
+        if r:
+            raise ExactDivisionError("inexact integer division")
+        return q
+
+    def pow(self, u, k: int):
+        return u**k
+
+    def __repr__(self) -> str:
+        return "ZZ"
 
 
 class PrimeField(CoefficientRing):
@@ -222,6 +208,9 @@ class PrimeField(CoefficientRing):
     def exact_div(self, u, v):
         return u * pow(v, -1, self.p) % self.p
 
+    def pow(self, u, k: int):
+        return pow(u, k, self.p)
+
     def format(self, u) -> str:
         return str(u % self.p)
 
@@ -236,7 +225,11 @@ class PrimeField(CoefficientRing):
 
 
 class ParamRing(CoefficientRing):
-    """Q[a]: polynomials in the parameter ``a`` with rational coefficients."""
+    """Q[a]: polynomials in the parameter ``a`` with rational coefficients.
+
+    An element is a Q coefficient vector in ``a``, so multiplication and
+    division reuse the Q kernels below.
+    """
 
     is_field = False
     tag = "Qa"
@@ -249,7 +242,7 @@ class ParamRing(CoefficientRing):
 
     def coerce(self, value) -> tuple:
         if isinstance(value, tuple):
-            return _qa_strip([Fraction(c) for c in value])
+            return _strip(QQ, [Fraction(c) for c in value])
         if isinstance(value, (int, Fraction)):
             c = Fraction(value)
             return (c,) if c else ()
@@ -258,22 +251,32 @@ class ParamRing(CoefficientRing):
         raise DomainError(f"cannot interpret {value!r} as an element of Q[a]")
 
     def add(self, u, v):
-        return _qa_add(u, v)
+        if len(u) < len(v):
+            u, v = v, u
+        out = list(u)
+        for i, c in enumerate(v):
+            out[i] += c
+        return _strip(QQ, out)
 
     def sub(self, u, v):
-        return _qa_sub(u, v)
+        return self.add(u, self.neg(v))
 
     def mul(self, u, v):
-        return _qa_mul(u, v)
+        return _mul_coeffs_q(u, v) if u and v else ()
 
     def neg(self, u):
-        return _qa_neg(u)
+        return tuple(-c for c in u)
 
     def is_zero(self, u) -> bool:
         return not u
 
     def exact_div(self, u, v):
-        return _qa_exact_div(u, v)
+        if not v:
+            raise ZeroDivisionError("division by the zero element of Q[a]")
+        q, r = _divmod_q(u, v)
+        if r:
+            raise ExactDivisionError("inexact coefficient division in Q[a]")
+        return q
 
     def format(self, u) -> str:
         return _format_terms(u, "a", lambda c: str(c), parenthesize=False)
@@ -284,6 +287,7 @@ class ParamRing(CoefficientRing):
 
 QQ = Rationals()
 QA = ParamRing()
+_ZZ = _Integers()
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +300,8 @@ class Polynomial:
 
     def __init__(self, ring: CoefficientRing, coeffs: Iterable = ()):
         object.__setattr__(self, "ring", ring)
-        cs = [ring.coerce(c) for c in coeffs]
-        n = len(cs)
-        while n and ring.is_zero(cs[n - 1]):
-            n -= 1
-        object.__setattr__(self, "coeffs", tuple(cs[:n]))
+        object.__setattr__(self, "coeffs",
+                           _strip(ring, [ring.coerce(c) for c in coeffs]))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial instances are immutable")
@@ -348,7 +349,7 @@ class Polynomial:
         """Coefficient of x**k (zero beyond the degree)."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self.ring.coerce(0)
+        return self.ring.zero
 
     @property
     def x_valuation(self) -> int:
@@ -361,7 +362,7 @@ class Polynomial:
         raise AssertionError("unnormalized polynomial")  # pragma: no cover
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.coerce(1)
+        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
 
     def _require_same_ring(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -438,7 +439,7 @@ class Polynomial:
         """Exact Horner evaluation at a ring element."""
         ring = self.ring
         v = ring.coerce(value)
-        acc = ring.coerce(0)
+        acc = ring.zero
         for c in reversed(self.coeffs):
             acc = ring.add(ring.mul(acc, v), c)
         return acc
@@ -471,7 +472,7 @@ class Polynomial:
         if self.ring is not QA:
             raise DomainError("specialize() applies to ParamRing polynomials")
         v = Fraction(value)
-        return Polynomial(QQ, [_qa_eval(c, v) for c in self.coeffs])
+        return Polynomial(QQ, [_raw(QQ, c).evaluate(v) for c in self.coeffs])
 
     def lift_to_param_ring(self) -> "Polynomial":
         if self.ring is QA:
@@ -511,16 +512,13 @@ class Polynomial:
                 f"nonzero remainder of degree {rem.degree}", remainder=rem)
         return quot
 
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
         ring = self.ring
         if not ring.is_field:
             raise DomainError("monic() requires field coefficients")
-        inv_lc = ring.exact_div(ring.coerce(1), self.lc)
+        inv_lc = ring.exact_div(ring.one, self.lc)
         return self.scale(inv_lc)
 
     # -- presentation
@@ -579,7 +577,7 @@ def _mul_coeffs(ring: CoefficientRing, a: tuple, b: tuple) -> tuple:
         return _mul_coeffs_q(a, b)
     if isinstance(ring, PrimeField):
         return _mul_coeffs_fp(a, b, ring.p)
-    out = [ring.coerce(0)] * (len(a) + len(b) - 1)
+    out = [ring.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ring.is_zero(ai):
             continue
@@ -588,21 +586,25 @@ def _mul_coeffs(ring: CoefficientRing, a: tuple, b: tuple) -> tuple:
     return _strip(ring, out)
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer product coefficients; the shorter operand drives the outer loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    if len(a) < len(b):
+        a, b = b, a
+    for j, bj in enumerate(b):
+        if not bj:
+            continue
+        for i, ai in enumerate(a):
+            if ai:
+                out[i + j] += ai * bj
+    return out
+
+
 def _mul_coeffs_q(a: tuple, b: tuple) -> tuple:
     # Clear denominators once so the convolution runs on plain ints.
     da = math.lcm(*(c.denominator for c in a))
     db = math.lcm(*(c.denominator for c in b))
-    ia = [int(c * da) for c in a]
-    ib = [int(c * db) for c in b]
-    out = [0] * (len(a) + len(b) - 1)
-    if len(ia) < len(ib):
-        ia, ib = ib, ia
-    for j, bj in enumerate(ib):
-        if not bj:
-            continue
-        for i, ai in enumerate(ia):
-            if ai:
-                out[i + j] += ai * bj
+    out = _convolve([int(c * da) for c in a], [int(c * db) for c in b])
     den = da * db
     if den == 1:
         cs = [Fraction(c) for c in out]
@@ -614,16 +616,7 @@ def _mul_coeffs_q(a: tuple, b: tuple) -> tuple:
 
 
 def _mul_coeffs_fp(a: tuple, b: tuple, p: int) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    if len(a) < len(b):
-        a, b = b, a
-    for j, bj in enumerate(b):
-        if not bj:
-            continue
-        for i, ai in enumerate(a):
-            if ai:
-                out[i + j] += ai * bj
-    cs = [c % p for c in out]
+    cs = [c % p for c in _convolve(a, b)]
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
@@ -667,7 +660,7 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
     rem = list(num)
     if len(rem) - 1 < dd:
         return (), tuple(num)
-    quot = [ring.coerce(0)] * (len(rem) - dd)
+    quot = [ring.zero] * (len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
         c = rem[k]
         if ring.is_zero(c):
@@ -682,15 +675,6 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
         for i in range(dd + 1):
             rem[k - dd + i] = ring.sub(rem[k - dd + i], ring.mul(c, den[i]))
     return _strip(ring, quot), _strip(ring, rem[:dd])
-
-
-def euclidean(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder with deg(remainder) < deg(q)."""
-    return divmod(p, q)
-
-
-def div_exact(num: Polynomial, den: Polynomial) -> Polynomial:
-    return num.div_exact(den)
 
 
 # ---------------------------------------------------------------------------
@@ -711,35 +695,12 @@ def _int_content(cs: Sequence[int]) -> int:
     return math.gcd(*cs) if cs else 0
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    da, db = len(a) - 1, len(b) - 1
-    lcb = b[-1]
-    rem = list(a)
-    n = da - db + 1
-    while len(rem) - 1 >= db:
-        lcr = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [lcb * c for c in rem[:-1]]
-        for i in range(db):
-            rem[shift + i] -= lcr * b[i]
-        while rem and not rem[-1]:
-            rem.pop()
-        n -= 1
-        if not rem:
-            break
-    if n > 0 and rem:
-        f = lcb**n
-        rem = [f * c for c in rem]
-    return rem
-
-
 def _int_gcd_primitive(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd of primitive integer polynomials via primitive PRS."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_prem(a, b)
+        r = _prs_prem(a, b, _ZZ)
         if r:
             g = _int_content(r)
             r = [c // g for c in r]
@@ -791,7 +752,7 @@ def _qa_normalize_primitive(poly: Polynomial) -> Polynomial:
     if poly.is_zero:
         return poly
     content = _qa_content(poly)
-    cs = [_qa_exact_div(c, tuple(content.coeffs)) for c in poly.coeffs]
+    cs = [QA.exact_div(c, content.coeffs) for c in poly.coeffs]
     flat = [f for c in cs for f in c]
     den = math.lcm(*(f.denominator for f in flat))
     num = math.gcd(*(int(f * den) for f in flat))
@@ -807,17 +768,13 @@ def _qa_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
-        r = _prs_prem(a.coeffs, b.coeffs, _QA_DOM)
+        r = _prs_prem(a.coeffs, b.coeffs, QA)
         if r:
             r_poly = _qa_normalize_primitive(_raw(QA, tuple(r)))
         else:
             r_poly = Polynomial.zero(QA)
         a, b = b, r_poly
     return _qa_normalize_primitive(a)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
 
 
 _SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
@@ -858,97 +815,8 @@ def is_squarefree(p: Polynomial) -> bool:
 # ---------------------------------------------------------------------------
 # resultants via a fraction-free subresultant remainder sequence
 
-class _IntDom:
-    one = 1
-
-    @staticmethod
-    def is_zero(c):
-        return c == 0
-
-    @staticmethod
-    def mul(u, v):
-        return u * v
-
-    @staticmethod
-    def sub(u, v):
-        return u - v
-
-    @staticmethod
-    def neg(u):
-        return -u
-
-    @staticmethod
-    def pow(u, k):
-        return u**k
-
-    @staticmethod
-    def exact_div(u, v):
-        q, r = divmod(u, v)
-        if r:
-            raise ArithmeticError("inexact integer division in PRS")
-        return q
-
-
-class _FpDom:
-    def __init__(self, p: int):
-        self.p = p
-        self.one = 1 % p
-
-    def is_zero(self, c):
-        return c % self.p == 0
-
-    def mul(self, u, v):
-        return u * v % self.p
-
-    def sub(self, u, v):
-        return (u - v) % self.p
-
-    def neg(self, u):
-        return -u % self.p
-
-    def pow(self, u, k):
-        return pow(u, k, self.p)
-
-    def exact_div(self, u, v):
-        return u * pow(v, -1, self.p) % self.p
-
-
-class _QaDomType:
-    one = (Fraction(1),)
-
-    @staticmethod
-    def is_zero(c):
-        return not c
-
-    @staticmethod
-    def mul(u, v):
-        return _qa_mul(u, v)
-
-    @staticmethod
-    def sub(u, v):
-        return _qa_sub(u, v)
-
-    @staticmethod
-    def neg(u):
-        return _qa_neg(u)
-
-    @staticmethod
-    def pow(u, k):
-        out = (Fraction(1),)
-        for _ in range(k):
-            out = _qa_mul(out, u)
-        return out
-
-    @staticmethod
-    def exact_div(u, v):
-        return _qa_exact_div(u, v)
-
-
-_QA_DOM = _QaDomType()
-
-
-def _prs_prem(a: Sequence, b: Sequence, dom) -> list:
-    """Pseudo-remainder lc(b)^(da-db+1) * a mod b over a domain adapter."""
+def _prs_prem(a: Sequence, b: Sequence, ring: CoefficientRing) -> list:
+    """Pseudo-remainder lc(b)^(da-db+1) * a mod b over an integral domain."""
     da, db = len(a) - 1, len(b) - 1
     lcb = b[-1]
     rem = list(a)
@@ -956,21 +824,21 @@ def _prs_prem(a: Sequence, b: Sequence, dom) -> list:
     while len(rem) - 1 >= db:
         lcr = rem[-1]
         shift = len(rem) - 1 - db
-        rem = [dom.mul(lcb, c) for c in rem[:-1]]
+        rem = [ring.mul(lcb, c) for c in rem[:-1]]
         for i in range(db):
-            rem[shift + i] = dom.sub(rem[shift + i], dom.mul(lcr, b[i]))
-        while rem and dom.is_zero(rem[-1]):
+            rem[shift + i] = ring.sub(rem[shift + i], ring.mul(lcr, b[i]))
+        while rem and ring.is_zero(rem[-1]):
             rem.pop()
         n -= 1
         if not rem:
             break
     if n > 0 and rem:
-        f = dom.pow(lcb, n)
-        rem = [dom.mul(f, c) for c in rem]
+        f = ring.pow(lcb, n)
+        rem = [ring.mul(f, c) for c in rem]
     return rem
 
 
-def _prs_resultant(a: list, b: list, dom):
+def _prs_resultant(a: list, b: list, ring: CoefficientRing):
     """Resultant by the subresultant PRS (fraction-free bookkeeping).
 
     Follows the classical sub-resultant algorithm: divisions by g*h**delta
@@ -983,35 +851,35 @@ def _prs_resultant(a: list, b: list, dom):
             sign = -sign
         a, b = b, a
     if len(a) == 1:
-        return dom.one  # two nonzero constants
+        return ring.one  # two nonzero constants
     if len(b) == 1:
-        return _apply_sign(dom, dom.pow(b[0], len(a) - 1), sign)
-    g = h = dom.one
+        return _apply_sign(ring, ring.pow(b[0], len(a) - 1), sign)
+    g = h = ring.one
     while True:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        rem = _prs_prem(a, b, dom)
+        rem = _prs_prem(a, b, ring)
         if not rem:
-            return None  # shared factor: resultant is zero
-        divisor = dom.mul(g, dom.pow(h, delta))
+            return ring.zero  # shared factor
+        divisor = ring.mul(g, ring.pow(h, delta))
         a = b
-        b = [dom.exact_div(c, divisor) for c in rem]
+        b = [ring.exact_div(c, divisor) for c in rem]
         g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = dom.exact_div(dom.pow(g, delta), dom.pow(h, delta - 1))
+            h = ring.exact_div(ring.pow(g, delta), ring.pow(h, delta - 1))
         if len(b) == 1:
             break
     da = len(a) - 1
-    final = dom.exact_div(dom.pow(b[0], da), dom.pow(h, da - 1))
-    return _apply_sign(dom, final, sign)
+    final = ring.exact_div(ring.pow(b[0], da), ring.pow(h, da - 1))
+    return _apply_sign(ring, final, sign)
 
 
-def _apply_sign(dom, value, sign: int):
-    return dom.neg(value) if sign < 0 else value
+def _apply_sign(ring: CoefficientRing, value, sign: int):
+    return ring.neg(value) if sign < 0 else value
 
 
 def resultant(p: Polynomial, q: Polynomial):
@@ -1024,21 +892,12 @@ def resultant(p: Polynomial, q: Polynomial):
         raise DomainError("resultant of polynomials over different rings")
     if p.is_zero or q.is_zero:
         raise DomainError("resultant of the zero polynomial is undefined")
-    ring = p.ring
-    if ring is QQ:
+    if p.ring is QQ:
+        # clear denominators into Z: Res(s*P, t*Q) = s^deg Q * t^deg P * Res(P, Q)
         pa, sp = _q_clear_content(p.coeffs)
         qa, sq = _q_clear_content(q.coeffs)
-        core = _prs_resultant(pa, qa, _IntDom)
-        if core is None:
-            return Fraction(0)
-        return sp**q.degree * sq**p.degree * core
-    if isinstance(ring, PrimeField):
-        core = _prs_resultant(list(p.coeffs), list(q.coeffs), _FpDom(ring.p))
-        return 0 if core is None else core
-    if ring is QA:
-        core = _prs_resultant(list(p.coeffs), list(q.coeffs), _QA_DOM)
-        return () if core is None else core
-    raise DomainError(f"resultant unsupported over {ring!r}")  # pragma: no cover
+        return sp**q.degree * sq**p.degree * _prs_resultant(pa, qa, _ZZ)
+    return _prs_resultant(list(p.coeffs), list(q.coeffs), p.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
-from dynlab.characters import (Character, char_value_is_one, characters,
-                               covers, equivalence_sweep, hyperplane_forms,
-                               unit_group)
+from dynlab.characters import (Character, characters, covers,
+                               equivalence_sweep, hyperplane_forms, unit_group)
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import fast_xn1_divides
 from dynlab.numtheory import euler_phi, is_prime
@@ -74,17 +73,17 @@ class TestCharacters:
         group = unit_group(20)
         triv = Character(group, (0,) * len(group.orders))
         for q in group.dlog:
-            assert char_value_is_one(triv, q)
+            assert triv.value_is_one(q)
 
     def test_identity_element_always_one(self):
         group = unit_group(65)
         for chi in characters(group):
-            assert char_value_is_one(chi, 66)
+            assert chi.value_is_one(66)
 
     def test_mod5_generator(self):
         group = unit_group(5)
         chi = Character(group, (1,))
-        assert not char_value_is_one(chi, 2)
+        assert not chi.value_is_one(2)
         assert chi.angle(2) in (Fraction(1, 4), Fraction(3, 4))
 
     def test_angles_are_exact_homomorphisms(self):

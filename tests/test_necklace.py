@@ -8,7 +8,7 @@ from dynlab.errors import DomainError, NotInvertibleError
 from dynlab.necklace import (PsiElement, PsiQuotient, dynamical_necklace,
                              fast_xn1_divides, necklace_operator,
                              necklace_operator_factored, necklace_poly,
-                             psi_reduce, psi_vanishes)
+                             psi_vanishes)
 from dynlab.numtheory import core_and_cocore, factorize
 from dynlab.polycore import QQ, Polynomial, PrimeField, parse_polynomial
 
@@ -64,15 +64,15 @@ class TestNecklaceOperator:
 
 class TestPsiQuotient:
     def test_reduce_examples(self):
-        assert psi_reduce(necklace_operator(6), PsiQuotient(0, 2)).is_zero
-        assert psi_reduce(necklace_operator(4), PsiQuotient(2, 2)).is_zero
+        assert PsiQuotient(0, 2).reduce(necklace_operator(6)).is_zero
+        assert PsiQuotient(2, 2).reduce(necklace_operator(4)).is_zero
         one = PsiElement.bracket(1)
         for m, n in ((0, 2), (1, 1), (3, 4)):
-            assert psi_reduce(one, PsiQuotient(m, n)) == one
+            assert PsiQuotient(m, n).reduce(one) == one
 
     def test_zero_index_folds_at_m_zero(self):
         e = PsiElement([(6, 1), (2, 1)])
-        assert psi_reduce(e, PsiQuotient(0, 2)) == PsiElement([(0, 2)])
+        assert PsiQuotient(0, 2).reduce(e) == PsiElement([(0, 2)])
 
     def test_representative_window(self):
         q = PsiQuotient(2, 3)
@@ -111,7 +111,7 @@ class TestPsiQuotient:
         for d, m, n in cases:
             q = PsiQuotient(m, n)
             assert necklace_operator_factored(d, q) == \
-                psi_reduce(necklace_operator(d), q), (d, m, n)
+                q.reduce(necklace_operator(d)), (d, m, n)
 
 
 class TestVanishing:
