@@ -26,7 +26,7 @@ from .dynatomic import (RelationTuple, build_relation_certificate,
 from .errors import DomainError, ExactDivisionError, ResourceLimitError
 from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
 from .numtheory import core_and_cocore
-from .polycore import QQ, PrimeField, Polynomial, parse_polynomial
+from .polycore import QA, QQ, PrimeField, Polynomial, parse_polynomial
 
 
 def _emit(text: str) -> None:
@@ -157,9 +157,11 @@ def _cmd_relation(args) -> int:
     label = args.family
     if args.specialize is not None:
         value = _parse_specialize(args.specialize)
-        if family.ring.tag == "Qa":
-            family = family.specialize(value)
-            label = f"{args.family} at a = {value}"
+        if family.ring is not QA:
+            raise DomainError(f"--specialize needs a family in a; "
+                              f"{args.family!r} does not involve a")
+        family = family.specialize(value)
+        label = f"{args.family} at a = {value}"
     cert = build_relation_certificate(
         t, family=family, family_label=label, trials=args.trials,
         seed=args.seed, cap=args.degree_max, force=args.force)
@@ -226,13 +228,9 @@ def scan_svg(rows: list[tuple[int, int]], d_max: int, n_max: int) -> str:
 
 def _cmd_scan(args) -> int:
     rows = scan_rows(args.d_max, args.n_max)
-    try:
-        _write_file(args.out, scan_csv(rows))
-        if args.svg:
-            _write_file(args.svg, scan_svg(rows, args.d_max, args.n_max))
-    except OSError as exc:
-        sys.stderr.write(f"cannot write output: {exc}\n")
-        return 1
+    _write_file(args.out, scan_csv(rows))
+    if args.svg:
+        _write_file(args.svg, scan_svg(rows, args.d_max, args.n_max))
     _emit(f"{len(rows)} pairs written to {args.out}")
     return 0
 
@@ -243,11 +241,7 @@ def _cmd_cover(args) -> int:
     cert = covers(args.d, args.n)
     payload = cert.to_json_dict()
     if args.certificate:
-        try:
-            _write_file(args.certificate, _dump_json(payload))
-        except OSError as exc:
-            sys.stderr.write(f"cannot write certificate: {exc}\n")
-            return 1
+        _write_file(args.certificate, _dump_json(payload))
     if args.format == "json":
         _emit(_dump_json(payload))
     else:
@@ -348,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DomainError, ResourceLimitError, ExactDivisionError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

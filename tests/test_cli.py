@@ -203,6 +203,29 @@ class TestErrorHandling:
         code, _ = run_cli(capsys, "dynatomic", "--f", "x^^2", "--d", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--d-max", "2", "--n-max", "2", "--out", "{}"),
+        ("cover", "--d", "6", "--n", "2", "--certificate", "{}"),
+        ("relation", "--m", "1", "--n", "1", "--c", "0", "--d", "2",
+         "--trials", "0", "--out", "{}"),
+    ], ids=["scan", "cover", "relation"])
+    def test_write_into_missing_directory(self, capsys, tmp_path, argv):
+        target = str(tmp_path / "missing" / "out.txt")
+        code = main([arg.format(target) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_specialize_refused_without_parameter(self, capsys):
+        code = main(["relation", "--m", "1", "--n", "2", "--c", "1", "--d", "3",
+                     "--family", "x^2+1", "--specialize", "a=5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--specialize" in captured.err
+
 
 def test_scan_helpers_consistent():
     rows = scan_rows(20, 10)
