@@ -4,7 +4,9 @@ Everything here is exact and deterministic.  Inputs are capped at 128 bits,
 which is far beyond the sizes this library meets in practice (the largest
 interesting constant is 12 decimal digits) but keeps the factoring strategy
 honest: trial division by primes below 10**6 followed by Brent's variant of
-Pollard rho with a fixed iteration schedule.
+Pollard rho with a fixed iteration schedule.  Primality is proven only below
+3.3 * 10**24 (about 2**81); above that, up to the cap, ``is_prime`` is a
+strong-pseudoprime test with no known counterexample, not a proof.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ INPUT_BIT_CAP = 128
 _TRIAL_LIMIT = 10**6
 
 # Strong-pseudoprime bases: the first 13 primes are a proven witness set below
-# 3.3 * 10**24 (Sorenson & Webster); the extra primes cover the remaining
-# admissible range deterministically with no known counterexample.
+# 3.3 * 10**24 (Sorenson & Webster).  Above that bound no witness set is
+# proven; the extra primes only make a composite passing all of them unlikely
+# (none is known), they do not make the test a proof.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
              43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
@@ -66,7 +69,8 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n below 2**128."""
+    """Miller-Rabin with fixed bases: a proof of primality for n below
+    3.3 * 10**24 (about 2**81), a strong probable-prime test above it."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -1,0 +1,165 @@
+"""Differential tests of the ring protocol against sympy on seeded inputs.
+
+Q[a] elements are compared as sympy expressions in ``a``; polynomials over
+Q[a] as expressions in ``x`` and ``a``.  Skipped when sympy is absent.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dynlab.errors import ExactDivisionError
+from dynlab.polycore import (QA, CoefficientRing, Polynomial, PrimeField,
+                             poly_gcd, resultant)
+
+sympy = pytest.importorskip("sympy")
+x, a = sympy.symbols("x a")
+
+
+def rand_qa(rng, max_len=4, integral=False):
+    dens = (1,) if integral else (1, 1, 2, 3, 5)
+    cs = [Fraction(rng.randint(-9, 9), rng.choice(dens))
+          for _ in range(rng.randint(0, max_len))]
+    return QA.coerce(tuple(cs))
+
+
+def qa_expr(u):
+    return sum((sympy.Rational(c.numerator, c.denominator) * a**i
+                for i, c in enumerate(u)), sympy.Integer(0))
+
+
+def expr_qa(expr):
+    coeffs = sympy.Poly(sympy.expand(expr), a, domain="QQ").all_coeffs()
+    return QA.coerce(tuple(Fraction(int(c.p), int(c.q))
+                           for c in reversed(coeffs)))
+
+
+def poly_expr(poly):
+    if poly.ring is QA:
+        return sum((qa_expr(c) * x**k for k, c in enumerate(poly.coeffs)),
+                   sympy.Integer(0))
+    return sum((c * x**k for k, c in enumerate(poly.coeffs)), sympy.Integer(0))
+
+
+def sympy_resultant(f, g, **opts):
+    """sympy.resultant with the higher degree first, sign fixed up here.
+
+    sympy 1.14 drops the sign (-1)**(deg f * deg g) when deg f < deg g:
+    resultant(x + 2, x**3 + 1, x) gives 7, while lc(f)**3 * g(-2) = -7 and
+    sympy's own Sylvester determinant agree on -7.
+    """
+    fe, ge = poly_expr(f), poly_expr(g)
+    if f.degree < g.degree:
+        sign = (-1)**(f.degree * g.degree)
+        return sign * sympy.resultant(ge, fe, x, **opts)
+    return sympy.resultant(fe, ge, x, **opts)
+
+
+def rand_qa_poly(rng, degree):
+    cs = [rand_qa(rng, 3) for _ in range(degree)]
+    lead = ()
+    while not lead:
+        lead = rand_qa(rng, 2)
+    return Polynomial(QA, cs + [lead])
+
+
+def rand_fp_poly(rng, field, degree):
+    cs = [rng.randrange(field.p) for _ in range(degree)]
+    return Polynomial(field, cs + [rng.randrange(1, field.p)])
+
+
+def test_qa_mul():
+    rng = random.Random(101)
+    for _ in range(200):
+        u, v = rand_qa(rng), rand_qa(rng)
+        assert QA.mul(u, v) == expr_qa(qa_expr(u) * qa_expr(v))
+
+
+@pytest.mark.parametrize("kind", ["monic_integer", "fractional"])
+def test_qa_exact_div(kind):
+    rng = random.Random(202)
+    for _ in range(150):
+        integral = kind == "monic_integer"
+        w = rand_qa(rng, 4, integral=integral)
+        v = ()
+        while len(v) < 2:
+            v = rand_qa(rng, 3, integral=integral)
+        if integral:
+            v = v[:-1] + (Fraction(1),)
+        u = expr_qa(qa_expr(w) * qa_expr(v))
+        quot, rem = sympy.div(qa_expr(u), qa_expr(v), a)
+        assert rem == 0
+        assert QA.exact_div(u, v) == expr_qa(quot) == w
+
+
+def test_qa_exact_div_inexact_raises():
+    rng = random.Random(303)
+    checked = 0
+    while checked < 100:
+        u, v = rand_qa(rng, 5), rand_qa(rng, 3)
+        if len(v) < 2 or sympy.rem(qa_expr(u), qa_expr(v), a) == 0:
+            continue
+        with pytest.raises(ExactDivisionError):
+            QA.exact_div(u, v)
+        checked += 1
+
+
+def test_qa_pow():
+    rng = random.Random(404)
+    for _ in range(60):
+        u = rand_qa(rng, 3)
+        k = rng.randint(0, 6)
+        assert QA.pow(u, k) == expr_qa(qa_expr(u)**k)
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, 2147483647])
+def test_prime_field_pow(p):
+    rng = random.Random(505 + p)
+    field = PrimeField(p)
+    for _ in range(100):
+        u, k = rng.randrange(p), rng.randint(0, 40)
+        expected = int(sympy.Integer(u)**k % p)
+        assert field.pow(u, k) == expected
+        # the generic square-and-multiply agrees with three-argument pow
+        assert CoefficientRing.pow(field, u, k) == expected
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_prime_field_resultant_and_gcd(p):
+    rng = random.Random(606 + p)
+    field = PrimeField(p)
+    for _ in range(80):
+        f = rand_fp_poly(rng, field, rng.randint(0, 5))
+        g = rand_fp_poly(rng, field, rng.randint(0, 5))
+        if rng.random() < 0.4:  # plant a common factor
+            h = rand_fp_poly(rng, field, rng.randint(1, 2))
+            f, g = f * h, g * h
+        fe, ge = poly_expr(f), poly_expr(g)
+        expected = sympy_resultant(f, g, modulus=p)
+        assert resultant(f, g) == int(expected) % p
+        sym_gcd = sympy.gcd(sympy.Poly(fe, x, modulus=p),
+                            sympy.Poly(ge, x, modulus=p)).monic()
+        ours = poly_gcd(f, g)
+        assert ours.is_monic()
+        assert ours.degree == sym_gcd.degree()
+        assert [c % p for c in reversed(sym_gcd.all_coeffs())] == \
+            list(ours.coeffs)
+
+
+def test_qa_resultant_and_gcd():
+    rng = random.Random(707)
+    for _ in range(25):
+        f = rand_qa_poly(rng, rng.randint(1, 3))
+        g = rand_qa_poly(rng, rng.randint(1, 3))
+        if rng.random() < 0.5:  # plant a common factor
+            h = rand_qa_poly(rng, 1)
+            f, g = f * h, g * h
+        assert resultant(f, g) == expr_qa(sympy_resultant(f, g))
+        # poly_gcd returns the primitive part in x of the gcd (it drops the
+        # common content in Q[a]) scaled to integer coefficients; sympy keeps
+        # that content.  Compare primitive parts up to a rational factor.
+        sym_gcd = sympy.gcd(poly_expr(f), poly_expr(g))
+        _, sym_pp = sympy.Poly(sym_gcd, x).primitive()
+        ratio = sympy.cancel(poly_expr(poly_gcd(f, g)) / sym_pp.as_expr())
+        assert ratio != 0 and not ratio.free_symbols
