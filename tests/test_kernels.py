@@ -1,0 +1,182 @@
+"""The integer kernels under Polynomial multiplication and F_p division.
+
+Each kernel is compared with a plain loop kept here as the reference:
+schoolbook convolution for ``_convolve`` and the coefficient-by-coefficient
+ring loop for products over Q, F_p and Q[a].  Inputs are seeded.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _SCHOOLBOOK_TERMS,
+                             _convolve, _divmod_fp, _divmod_generic)
+
+PRIMES = (2, 7121, 2**61 - 1)
+
+
+def schoolbook(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def signed(rng, bits):
+    if bits == 0:
+        return 0
+    return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+
+def sparse(rng, length, nonzero, bits):
+    cs = [0] * length
+    for j in rng.sample(range(length), min(nonzero, length)):
+        cs[j] = signed(rng, bits) or 1
+    return cs
+
+
+class TestConvolve:
+    def test_random_signed_lists(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            bits_a, bits_b = rng.choice((0, 1, 8, 64, 500, 4000)), rng.choice(
+                (0, 1, 8, 64, 500, 4000))
+            a = [signed(rng, bits_a) for _ in range(rng.randint(0, 200))]
+            b = [signed(rng, bits_b) for _ in range(rng.randint(0, 200))]
+            assert _convolve(a, b) == schoolbook(a, b)
+
+    @pytest.mark.parametrize("nonzero", [1, 2, _SCHOOLBOOK_TERMS - 1,
+                                         _SCHOOLBOOK_TERMS,
+                                         _SCHOOLBOOK_TERMS + 1, 150])
+    def test_both_sides_of_the_crossover(self, nonzero):
+        rng = random.Random(nonzero)
+        for bits in (1, 30, 200, 1500):
+            long = [signed(rng, bits) for _ in range(rng.randint(150, 200))]
+            short = sparse(rng, rng.randint(nonzero, 150), nonzero, bits)
+            assert _convolve(long, short) == schoolbook(long, short)
+            assert _convolve(short, long) == schoolbook(short, long)
+
+    def test_all_negative_operands(self):
+        rng = random.Random(5)
+        for bits in (1, 7, 8, 9, 100):
+            a = [-rng.getrandbits(bits) - 1 for _ in range(80)]
+            b = [-rng.getrandbits(bits) - 1 for _ in range(60)]
+            assert _convolve(a, b) == schoolbook(a, b)
+            assert _convolve(a, a) == schoolbook(a, a)
+
+    def test_extreme_coefficients_at_the_slot_boundary(self):
+        # every output attains the packing bound max|a| * max|b| * len(b)
+        # up to sign, for every residue of its bit length mod 8
+        for k in range(1, 41):
+            top = 2**k - 1
+            for n in (_SCHOOLBOOK_TERMS, 97):
+                for a, b in (([top] * n, [top] * n),
+                             ([top] * n, [-top] * n),
+                             ([-top] * (n + 3), [-top] * n),
+                             ([top, -top] * n, [-top, top] * n)):
+                    assert _convolve(a, b) == schoolbook(a, b)
+
+    def test_zero_runs_and_single_terms(self):
+        rng = random.Random(11)
+        for bits in (1, 64, 3000):
+            dense = [signed(rng, bits) or 1 for _ in range(120)]
+            runs = ([0] * 50 + [signed(rng, bits) or 1] * 40 + [0] * 30
+                    + [signed(rng, bits) or 1] * 5)
+            single = [0] * 70 + [signed(rng, bits) or 1]
+            for b in (runs, single, [0] * 10, [signed(rng, bits) or 1]):
+                assert _convolve(dense, b) == schoolbook(dense, b)
+                assert _convolve(b, runs) == schoolbook(b, runs)
+
+
+def qa_elem_mul(u, v):
+    out = [Fraction(0)] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    return QA.coerce(tuple(out))
+
+
+def ring_loop_mul(ring, a, b):
+    """The coefficient-by-coefficient ring product, used as the reference."""
+    if not a or not b:
+        return ()
+    mul = qa_elem_mul if ring is QA else ring.mul
+    out = [ring.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if ai and bj:
+                out[i + j] = ring.add(out[i + j], mul(ai, bj))
+    n = len(out)
+    while n and ring.is_zero(out[n - 1]):
+        n -= 1
+    return tuple(out[:n])
+
+
+def rand_coeff(rng, ring, bits):
+    if rng.random() < 0.3:
+        return 0 if ring is not QA else ()
+    if ring is QQ:
+        return Fraction(signed(rng, bits), rng.choice((1, 1, 2, 3, 12, 2**bits + 1)))
+    if ring is QA:
+        return tuple(Fraction(signed(rng, bits), rng.choice((1, 5, 7)))
+                     for _ in range(rng.randint(0, 4)))
+    return rng.randrange(ring.p)
+
+
+def rand_poly(rng, ring, length, bits):
+    return Polynomial(ring, [rand_coeff(rng, ring, bits) for _ in range(length)])
+
+
+def assert_canonical(poly):
+    cs = poly.coeffs
+    assert isinstance(cs, tuple)
+    assert not cs or not poly.ring.is_zero(cs[-1])
+    for c in cs:
+        if poly.ring is QQ:
+            assert type(c) is Fraction
+        elif poly.ring is QA:
+            assert isinstance(c, tuple) and (not c or c[-1] != 0)
+            assert all(type(f) is Fraction for f in c)
+        else:
+            assert type(c) is int and 0 <= c < poly.ring.p
+
+
+@pytest.mark.parametrize("ring", [QQ, QA] + [PrimeField(p) for p in PRIMES],
+                         ids=["Q", "Qa"] + [f"F{p}" for p in PRIMES])
+def test_products_match_the_ring_loop(ring):
+    rng = random.Random(repr(ring))
+    lengths = (0, 1, 2, 5, 40, 60) if ring is QA else (0, 1, 2, 5, 40, 150)
+    for _ in range(30):
+        bits = rng.choice((1, 10, 90, 400))
+        f = rand_poly(rng, ring, rng.choice(lengths), bits)
+        g = rand_poly(rng, ring, rng.choice(lengths), bits)
+        for prod, expected in ((f * g, ring_loop_mul(ring, f.coeffs, g.coeffs)),
+                               (f * f, ring_loop_mul(ring, f.coeffs, f.coeffs))):
+            assert prod.coeffs == expected
+            assert_canonical(prod)
+    zero = Polynomial.zero(ring)
+    assert (zero * zero).coeffs == ()
+    assert (rand_poly(rng, ring, 50, 30) * zero).coeffs == ()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fp_division(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(60):
+        den = rand_poly(rng, field, rng.randint(1, 60), 0)
+        num = rand_poly(rng, field, rng.randint(0, 150), 0)
+        if den.is_zero:
+            continue
+        quot, rem = _divmod_fp(num.coeffs, den.coeffs, p)
+        assert (quot, rem) == _divmod_generic(field, num.coeffs, den.coeffs)
+        q, r = divmod(num, den)
+        assert (q.coeffs, r.coeffs) == (quot, rem)
+        assert q * den + r == num
+        assert r.degree < den.degree
+        assert_canonical(q)
+        assert_canonical(r)

@@ -139,6 +139,14 @@ class TestGcdAndSquarefree:
         g = poly_gcd(p, q)
         assert g == xa - a_const
 
+    def test_param_ring_gcd_keeps_common_content(self):
+        a_const = Polynomial.constant(QA, QA.param)
+        xa = Polynomial.x(QA)
+        content = a_const + 2
+        assert poly_gcd(content * xa, content * (xa**2 + 1)) == content
+        assert (poly_gcd(content * (xa - 1), content * (xa**2 - 1))
+                == content * (xa - 1))
+
     def test_derivative_examples(self):
         assert (X**8 - X**2).derivative() == 8 * X**7 - 2 * X
         f5 = PrimeField(5)
