@@ -757,10 +757,7 @@ def _divmod_fp(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
             base = k - dd
             for i, di in terms:
                 rem[base + i] -= c * di
-    r = [c % p for c in rem[:dd]]
-    while r and not r[-1]:
-        r.pop()
-    return tuple(quot), tuple(r)
+    return tuple(quot), _strip(_ZZ, [c % p for c in rem[:dd]])
 
 
 def _divmod_generic(ring: CoefficientRing, num: tuple,
@@ -792,8 +789,7 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
 
 def _q_clear_content(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """Write a rational coefficient list as scalar * primitive-int list."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+    ints, den = _clear_denominators(coeffs)
     g = math.gcd(*ints)
     if g == 0:
         return [], Fraction(0)
@@ -867,9 +863,8 @@ def _qa_normalize_primitive(poly: Polynomial) -> Polynomial:
     content = _qa_content(poly)
     cs = [QA.exact_div(c, content.coeffs) for c in poly.coeffs]
     flat = [f for c in cs for f in c]
-    den = math.lcm(*(f.denominator for f in flat))
-    num = math.gcd(*(int(f * den) for f in flat))
-    scale = Fraction(den, num)
+    ints, den = _clear_denominators(flat)
+    scale = Fraction(den, math.gcd(*ints))
     if cs[-1][-1] < 0:
         scale = -scale
     return Polynomial(QA, [tuple(f * scale for f in c) for c in cs])
