@@ -3,10 +3,13 @@
 Everything here is exact and deterministic.  Inputs are capped at 128 bits,
 which is far beyond the sizes this library meets in practice (the largest
 interesting constant is 12 decimal digits) but keeps the factoring strategy
-honest: trial division by primes below 10**6 followed by Brent's variant of
-Pollard rho with a fixed iteration schedule.  Primality is proven only below
-3.3 * 10**24 (about 2**81); above that, up to the cap, ``is_prime`` is a
-strong-pseudoprime test with no known counterexample, not a proof.
+honest: trial division by the primes below 1000, then ``is_prime`` and
+Brent's variant of Pollard rho with a fixed iteration schedule on the
+cofactor.  A cofactor below 10**6 is then prime, and ``is_prime`` is a proof
+for every larger one below 3.3 * 10**24 (about 2**81), which covers the
+cofactors below 10**12 that trial division to 10**6 used to prove.  Above
+that, up to the cap, ``is_prime`` is a strong-pseudoprime test with no known
+counterexample, not a proof.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from .errors import DomainError
 
 INPUT_BIT_CAP = 128
 
-_TRIAL_LIMIT = 10**6
+# Bound measured at 256 / 1000 / 65536 (CPython 3.11, 2 vCPU): factorize of
+# 999983 * 999979 took 0.32 / 0.33 / 0.86 ms, of 2**127 - 1 2.0 / 2.2 / 2.6 ms,
+# and 0.68 / 0.63 / 0.67 s over the grid benchmark (2.2 s at 10**6).
+_TRIAL_BOUND = 1000
 
 # Strong-pseudoprime bases: the first 13 primes are a proven witness set below
 # 3.3 * 10**24 (Sorenson & Webster).  Above that bound no witness set is
@@ -96,14 +102,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _TRIAL_LIMIT
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return tuple(i for i in range(_TRIAL_LIMIT) if sieve[i])
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return tuple(i for i, v in enumerate(sieve) if v)
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
 
 
 def _brent_rho(n: int) -> int:
@@ -112,8 +120,6 @@ def _brent_rho(n: int) -> int:
     Brent's cycle-finding variant of Pollard rho.  The constant schedule
     (c = 1, 2, 3, ...) makes the search deterministic.
     """
-    if is_prime(n):
-        return n
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -146,7 +152,7 @@ def factorize(n: int) -> Factorization:
     _check_positive(n, "factorize() argument")
     remaining = n
     counts: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if p * p > remaining:
             break
         while remaining % p == 0:
@@ -155,8 +161,6 @@ def factorize(n: int) -> Factorization:
     stack = [remaining] if remaining > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

@@ -340,7 +340,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, ring: CoefficientRing, degree: int, c=1) -> "Polynomial":
-        return cls(ring, [0] * degree + [c])
+        cs = (ring.zero,) * degree + (ring.coerce(c),)
+        return _raw(ring, _strip(ring, cs))
 
     # -- structure
 
@@ -401,7 +402,8 @@ class Polynomial:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = ring.add(out[i], c)
+            if not ring.is_zero(c):
+                out[i] = ring.add(out[i], c)
         return _raw(ring, _strip(ring, out))
 
     def __radd__(self, other):
@@ -427,6 +429,9 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("polynomial exponent must be a nonnegative int")
+        if self.coeffs and self.x_valuation == self.degree:
+            return Polynomial.monomial(self.ring, self.degree * k,
+                                       self.ring.pow(self.lc, k))
         result = Polynomial.one(self.ring)
         base = self
         while k:
@@ -703,10 +708,7 @@ def _flatten(coeffs: tuple, width: int) -> tuple[list[int], int]:
 
 
 def _mul_coeffs_fp(a: tuple, b: tuple, p: int) -> tuple:
-    cs = [c % p for c in _convolve(a, b)]
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+    return _strip(_ZZ, [c % p for c in _convolve(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -730,13 +732,7 @@ def _divmod_q(num: tuple, den: tuple) -> tuple[tuple, tuple]:
                 quot[k - dd] = c
                 for i in range(dd + 1):
                     rem[k - dd + i] -= c * d[i]
-        q = [Fraction(c) for c in quot]
-        r = [Fraction(c) for c in rem[:dd]]
-        while q and not q[-1]:
-            q.pop()
-        while r and not r[-1]:
-            r.pop()
-        return tuple(q), tuple(r)
+        return _to_fractions(quot, 1), _to_fractions(rem[:dd], 1)
     return _divmod_generic(QQ, num, den)
 
 

@@ -1,4 +1,5 @@
-"""Differential tests of the ring protocol against sympy on seeded inputs.
+"""Differential tests against sympy on seeded inputs: the ring protocol, and
+``factorize``/``euler_phi`` against ``factorint``/``totient``.
 
 Q[a] elements are compared as sympy expressions in ``a``; polynomials over
 Q[a] as expressions in ``x`` and ``a``.  Skipped when sympy is absent.
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from dynlab.errors import ExactDivisionError
+from dynlab.numtheory import INPUT_BIT_CAP, euler_phi, factorize
 from dynlab.polycore import (QA, CoefficientRing, Polynomial, PrimeField,
                              poly_gcd, resultant)
 
@@ -160,3 +162,31 @@ def test_qa_resultant_and_gcd():
         sym_gcd = sympy.gcd(poly_expr(f), poly_expr(g))
         ratio = sympy.cancel(poly_expr(poly_gcd(f, g)) / sym_gcd)
         assert ratio != 0 and not ratio.free_symbols
+
+
+def rand_factorable(rng):
+    """A number up to the 128-bit cap whose prime factors are at most 24 bits,
+    times, half the time, one prime cofactor of any size that still fits."""
+    n = 1
+    for _ in range(rng.randint(0, 6)):
+        p = int(sympy.nextprime(rng.getrandbits(rng.choice((4, 8, 16, 24)))))
+        factor = p**rng.randint(1, 3)
+        if (n * factor).bit_length() > INPUT_BIT_CAP:
+            break
+        n *= factor
+    room = INPUT_BIT_CAP - n.bit_length()
+    if rng.random() < 0.5 and room > 2:
+        n *= int(sympy.prevprime(1 << rng.randint(2, room)))
+    return n
+
+
+def test_factorize_and_euler_phi_against_sympy():
+    rng = random.Random(808)
+    inputs = list(range(1, 3001))
+    inputs += [rand_factorable(rng) for _ in range(200)]
+    inputs += [rng.randrange(1, 1 << 64) for _ in range(100)]
+    inputs += [2**127 - 1, (2**61 - 1) * (2**31 - 1), (1 << INPUT_BIT_CAP) - 1]
+    for n in inputs:
+        assert n.bit_length() <= INPUT_BIT_CAP
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+        assert euler_phi(n) == sympy.totient(n), n

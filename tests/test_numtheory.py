@@ -3,10 +3,32 @@ import random
 
 import pytest
 
+from dynlab import numtheory
 from dynlab.errors import DomainError
 from dynlab.numtheory import (Factorization, core_and_cocore, divisors,
                               euler_phi, factorize, is_prime, mobius,
                               squarefree_divisors)
+
+# 12-digit d's of the kind `dynlab cover` meets: products of primes below
+# 10**7, most with two or more prime factors above the trial-division bound.
+COVER_DS = (106614571061, 110741893213, 116619153481, 120513055565,
+            122624827913, 129312987575, 133063438889, 135927737575,
+            142744426439, 145124451125, 149260527931, 149993665925,
+            167798951291, 173757745183, 432863902867, 440512358437)
+
+
+def trial_division(n):
+    """Test-local oracle: the factorization by trial division up to sqrt(n)."""
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return tuple(sorted(factors.items()))
 
 
 def test_factorize_twelve_digit_constant():
@@ -49,6 +71,44 @@ def test_factorize_left_inverse_of_multiplication():
         fact = factorize(n)
         rebuilt = math.prod(p**k for p, k in fact.factors)
         assert rebuilt == n == fact.value
+
+
+def test_small_primes_are_the_primes_below_the_bound():
+    bound = numtheory._TRIAL_BOUND
+    assert numtheory._SMALL_PRIMES == tuple(
+        p for p in range(2, bound) if trial_division(p) == ((p, 1),))
+
+
+@pytest.mark.parametrize("center", sorted({numtheory._TRIAL_BOUND**2, 10**6}))
+def test_factorize_window_matches_trial_division(center):
+    # Below the square of the trial-division bound a cofactor is prime
+    # without a test; at and above it is_prime and rho take over.
+    for n in range(center - 1500, center + 1500):
+        assert factorize(n).factors == trial_division(n), n
+
+
+@pytest.mark.parametrize("p", [997, 1009, 1013, 999979, 999983])
+def test_factorize_products_of_primes_near_the_bounds(p):
+    for q in (997, 1009, 1013, 999979, 999983):
+        assert trial_division(q) == ((q, 1),)
+        n = p * q
+        expected = ((p, 2),) if p == q else tuple(sorted(((p, 1), (q, 1))))
+        assert factorize(n).factors == expected
+    assert factorize(p**2).factors == ((p, 2),)
+    assert factorize(p**3).factors == ((p, 3),)
+    assert factorize(p**3 * 1009).factors == trial_division(p**3 * 1009)
+
+
+def test_factorize_cover_ds_match_trial_division():
+    for d in COVER_DS:
+        assert factorize(d).factors == trial_division(d), d
+
+
+def test_factorize_mersenne_products():
+    m31, m61, m127 = 2**31 - 1, 2**61 - 1, 2**127 - 1
+    assert factorize(m61 * m31).factors == ((m31, 1), (m61, 1))
+    assert factorize(m127).factors == ((m127, 1),)
+    assert factorize(m61 * 999983).factors == ((999983, 1), (m61, 1))
 
 
 def test_mobius_values():

@@ -52,6 +52,50 @@ class TestRingArithmetic:
                 assert (p * q).degree == p.degree + q.degree
 
 
+def repeated_product(base, k):
+    """Reference power: k - 1 products, no shortcut for one-term bases."""
+    result = Polynomial.one(base.ring)
+    for _ in range(k):
+        result = result * base
+    return result
+
+
+class TestMonomialPower:
+    RINGS = [QQ, PrimeField(7), PrimeField(2**61 - 1), QA]
+    COEFFS = {"QQ": [1, -1, Fraction(-3, 2), 0],
+              "Fp": [1, 3, -1, 0],
+              "Qa": [1, (Fraction(1, 2), 1), (0, -3), QA.param, ()]}
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    def test_one_term_power_matches_repeated_product(self, ring):
+        coeffs = self.COEFFS["QQ" if ring is QQ else ring.tag]
+        for c in coeffs:
+            for degree in (0, 1, 3):
+                p = Polynomial.monomial(ring, degree, c)
+                for k in (0, 1, 2, 5, 12):
+                    expected = repeated_product(p, k)
+                    got = p**k
+                    assert got == expected, (ring, c, degree, k)
+                    assert got.coeffs == expected.coeffs
+
+    def test_monomial_canonical_form(self):
+        assert Polynomial.monomial(QQ, 3, 0).is_zero
+        assert Polynomial.monomial(QA, 2, ()).is_zero
+        assert Polynomial.monomial(PrimeField(5), 2, 10).is_zero
+        for ring in self.RINGS:
+            m = Polynomial.monomial(ring, 4, 2)
+            assert m == Polynomial(ring, [0, 0, 0, 0, 2])
+
+    def test_addition_with_zero_entries(self):
+        rng = random.Random(17)
+        for ring in self.RINGS:
+            for _ in range(50):
+                p, q = rand_poly(rng, ring, 6), rand_poly(rng, ring, 6)
+                n = max(len(p.coeffs), len(q.coeffs))
+                expected = [ring.add(p.coeff(i), q.coeff(i)) for i in range(n)]
+                assert p + q == Polynomial(ring, expected)
+
+
 class TestEvaluationAndComposition:
     def test_evaluate_examples(self):
         assert (X**2 + X - 5).evaluate(3) == 7
