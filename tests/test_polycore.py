@@ -53,7 +53,7 @@ class TestRingArithmetic:
 
 
 def repeated_product(base, k):
-    """Reference power: k - 1 products, no shortcut for one-term bases."""
+    """Reference power: k plain products, no shortcut for one-term bases."""
     result = Polynomial.one(base.ring)
     for _ in range(k):
         result = result * base
@@ -62,21 +62,17 @@ def repeated_product(base, k):
 
 class TestMonomialPower:
     RINGS = [QQ, PrimeField(7), PrimeField(2**61 - 1), QA]
-    COEFFS = {"QQ": [1, -1, Fraction(-3, 2), 0],
+    COEFFS = {"Q": [1, -1, Fraction(-3, 2), 0],
               "Fp": [1, 3, -1, 0],
               "Qa": [1, (Fraction(1, 2), 1), (0, -3), QA.param, ()]}
 
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_one_term_power_matches_repeated_product(self, ring):
-        coeffs = self.COEFFS["QQ" if ring is QQ else ring.tag]
-        for c in coeffs:
+        for c in self.COEFFS[ring.tag]:
             for degree in (0, 1, 3):
                 p = Polynomial.monomial(ring, degree, c)
                 for k in (0, 1, 2, 5, 12):
-                    expected = repeated_product(p, k)
-                    got = p**k
-                    assert got == expected, (ring, c, degree, k)
-                    assert got.coeffs == expected.coeffs
+                    assert p**k == repeated_product(p, k), (c, degree, k)
 
     def test_monomial_canonical_form(self):
         assert Polynomial.monomial(QQ, 3, 0).is_zero
