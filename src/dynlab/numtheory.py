@@ -28,9 +28,12 @@ INPUT_BIT_CAP = 128
 _TRIAL_BOUND = 1000
 
 # Strong-pseudoprime bases: the first 13 primes are a proven witness set below
-# 3.3 * 10**24 (Sorenson & Webster).  Above that bound no witness set is
-# proven; the extra primes only make a composite passing all of them unlikely
-# (none is known), they do not make the test a proof.
+# psi_13 = 3317044064679887385961981 (about 3.3 * 10**24; Sorenson & Webster),
+# the least strong pseudoprime to all of them, so below it they run alone.
+# From psi_13 on no witness set is proven; the extra primes only make a
+# composite passing all of them unlikely (none is known), they do not make
+# the test a proof.
+_MR_PROVEN_BELOW = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
              43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
@@ -87,7 +90,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n >= _MR_PROVEN_BELOW else _MR_BASES[:13]:
         if a % n == 0:
             continue
         x = pow(a, d, n)

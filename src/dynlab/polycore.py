@@ -52,7 +52,11 @@ from .errors import DomainError, ExactDivisionError
 
 class CoefficientRing:
     """The one arithmetic protocol: Polynomial, the division kernels and the
-    resultant/gcd remainder sequences all call these methods."""
+    resultant/gcd remainder sequences all call these methods.
+
+    In every ring an element is falsy exactly when it is zero, so the
+    Polynomial loops skip zero coefficients with a plain truth test.
+    """
 
     characteristic: int = 0
     is_field: bool = False
@@ -276,6 +280,9 @@ class ParamRing(CoefficientRing):
         return self.add(u, self.neg(v))
 
     def mul(self, u, v):
+        if len(u) == 1 or len(v) == 1:
+            c, rest = (u[0], v) if len(u) == 1 else (v[0], u)
+            return tuple([c * r if r else r for r in rest])
         return _mul_coeffs_q(u, v) if u and v else ()
 
     def neg(self, u):
@@ -291,6 +298,11 @@ class ParamRing(CoefficientRing):
         if r:
             raise ExactDivisionError("inexact coefficient division in Q[a]")
         return q
+
+    def pow(self, u, k: int):
+        if len(u) == 1:
+            return (u[0] ** k,)
+        return super().pow(u, k)
 
     def format(self, u) -> str:
         return _format_terms(u, "a", lambda c: str(c), parenthesize=False)
@@ -402,7 +414,7 @@ class Polynomial:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            if not ring.is_zero(c):
+            if c:
                 out[i] = ring.add(out[i], c)
         return _raw(ring, _strip(ring, out))
 
@@ -411,7 +423,7 @@ class Polynomial:
 
     def __neg__(self):
         ring = self.ring
-        return _raw(ring, tuple(ring.neg(c) for c in self.coeffs))
+        return _raw(ring, tuple([ring.neg(c) if c else c for c in self.coeffs]))
 
     def __sub__(self, other):
         return self.__add__(-self._coerce_operand(other))
@@ -594,6 +606,10 @@ def _strip(ring: CoefficientRing, cs: list) -> tuple:
 def _mul_coeffs(ring: CoefficientRing, a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
+    if len(a) == 1 or len(b) == 1:
+        c, rest = (a[0], b) if len(a) == 1 else (b[0], a)
+        # Zero entries are falsy in every ring and stay as they are.
+        return tuple([ring.mul(c, r) if r else r for r in rest])
     if ring is QQ:
         return _mul_coeffs_q(a, b)
     if ring is QA:
@@ -1046,19 +1062,18 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
+        acc = self.signed_term()
+        while self.peek() in ("+", "-"):
+            acc = acc + self.signed_term()
+        return acc
+
+    def signed_term(self) -> Polynomial:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.next() == "-":
                 sign = -sign
-        acc = self.term().scale(sign)
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            sign = 1 if op == "+" else -1
-            while self.peek() in ("+", "-"):
-                if self.next() == "-":
-                    sign = -sign
-            acc = acc + self.term().scale(sign)
-        return acc
+        term = self.term()
+        return term if sign == 1 else -term
 
     def term(self) -> Polynomial:
         acc = self.power()

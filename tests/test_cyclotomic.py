@@ -1,18 +1,77 @@
 import math
 import random
 import threading
+from array import array
 
 import pytest
 
-from dynlab.cyclotomic import (CycloFactorReport, cyclo_factor_scan,
+from fractions import Fraction
+
+from dynlab import numtheory
+from dynlab.cyclotomic import (CycloFactorReport, _candidate_cap,
+                               _root_of_unity_mod_prime, cyclo_factor_scan,
                                cyclotomic_candidates, cyclotomic_poly,
                                xn1_divides)
 from dynlab.errors import DomainError
 from dynlab.necklace import fast_xn1_divides, necklace_poly
-from dynlab.numtheory import divisors, euler_phi
+from dynlab.numtheory import divisors, euler_phi, factorize, is_prime
 from dynlab.polycore import QQ, Polynomial
 
 X = Polynomial.x(QQ)
+
+# The largest totient bound whose 2*D**2 candidate list the tests rebuild.
+OLD_LIST_MAX_PHI = 1025
+
+
+@pytest.fixture(scope="module")
+def small_totients():
+    """(k, phi(k)) for every k <= 2 * 1025**2 with phi(k) <= 1025, from a
+    test-local sieve over that whole range."""
+    n = 2 * OLD_LIST_MAX_PHI**2
+    phi = array("q", range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            phi[p::p] = array("q", [v - v // p for v in phi[p::p]])
+    return [(k, phi[k]) for k in range(1, n + 1) if phi[k] <= OLD_LIST_MAX_PHI]
+
+
+def old_candidates(pairs, max_phi):
+    """The candidate list as the scan used to build it: k <= 2*D**2."""
+    return [k for k, f in pairs if f <= max_phi and k <= 2 * max_phi**2]
+
+
+def old_scan(pairs, p):
+    """Test-local copy of the trial-division scan that the modular filter
+    replaced: divide by every Phi_k with phi(k) <= the cofactor degree."""
+    x_mult = p.x_valuation
+    cofactor = Polynomial(QQ, p.coeffs[x_mult:])
+    found = []
+    for k in old_candidates(pairs, cofactor.degree):
+        if cofactor.degree == 0:
+            break
+        if euler_phi(k) > cofactor.degree:
+            continue
+        phi_k = cyclotomic_poly(k)
+        mult = 0
+        quot, rem = divmod(cofactor, phi_k)
+        while rem.is_zero:
+            mult += 1
+            cofactor = quot
+            if cofactor.degree < phi_k.degree:
+                break
+            quot, rem = divmod(cofactor, phi_k)
+        if mult:
+            found.append((k, mult))
+    return x_mult, tuple(found), cofactor
+
+
+def assert_scan_matches_old(pairs, p):
+    report = cyclo_factor_scan(p)
+    x_mult, found, cofactor = old_scan(pairs, p)
+    assert report.x_multiplicity == x_mult
+    assert report.cyclo_indices == found
+    assert report.cofactor == cofactor
+    assert report.cofactor_degree == cofactor.degree
 
 
 class TestCyclotomicPoly:
@@ -109,6 +168,39 @@ class TestCandidates:
         for k in range(1, 5000):
             assert euler_phi(k) >= math.isqrt(k // 2)
 
+    def test_primorial_cap_values(self):
+        assert _candidate_cap(1100) == 5293
+        assert _candidate_cap(1024) == 4928
+        assert _candidate_cap(1) == 2
+
+    def test_equals_old_quadratic_list(self, small_totients):
+        for max_phi in list(range(1, 501)) + [1024, 1025]:
+            assert (cyclotomic_candidates(max_phi)
+                    == old_candidates(small_totients, max_phi)), max_phi
+
+    def test_nonpositive_bound(self):
+        assert cyclotomic_candidates(0) == []
+
+
+class TestRootOfUnity:
+    def test_prime_and_exact_order(self):
+        for k in range(1, 5001):
+            q, w = _root_of_unity_mod_prime(k)
+            assert (q - 1) % k == 0, k
+            assert q < numtheory._MR_PROVEN_BELOW
+            assert is_prime(q), k
+            assert pow(w, k, q) == 1, k
+            for p in factorize(k).primes:
+                assert pow(w, k // p, q) != 1, (k, p)
+
+    def test_root_of_phi_k(self):
+        for k in (1, 2, 3, 12, 30, 97, 210, 256, 1001):
+            q, w = _root_of_unity_mod_prime(k)
+            value = 0
+            for c in reversed(cyclotomic_poly(k).coeffs):
+                value = (value * w + int(c)) % q
+            assert value == 0, k
+
 
 class TestScan:
     def test_trivial_example(self):
@@ -143,6 +235,27 @@ class TestScan:
         assert cofactor.x_valuation == 0
         for k in cyclotomic_candidates(cofactor.degree):
             assert not (cofactor % cyclotomic_poly(k)).is_zero, k
+
+    def test_matches_old_scan_on_planted_polynomials(self, small_totients):
+        rng = random.Random(5293)
+        for _ in range(30):
+            poly = Polynomial.monomial(QQ, rng.randint(0, 3))
+            for _ in range(rng.randint(0, 4)):
+                poly = poly * cyclotomic_poly(rng.randint(1, 40))**rng.randint(1, 2)
+            den = rng.choice((1, 1, 2, 3, 7))
+            rest = Polynomial(QQ, [Fraction(rng.randint(-20, 20), den)
+                                   for _ in range(rng.randint(1, 30))]
+                              + [rng.choice((1, 2, -3))])
+            poly = poly * rest
+            assert_scan_matches_old(small_totients, poly)
+
+    def test_matches_old_scan_on_necklaces(self, small_totients):
+        for d in range(1, 201):
+            assert_scan_matches_old(small_totients, necklace_poly(d).scale(d))
+
+    def test_matches_old_scan_on_shifted_cyclotomics(self, small_totients):
+        for n in range(1, 301):
+            assert_scan_matches_old(small_totients, cyclotomic_poly(n) - 1)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
-"""Differential tests against sympy on seeded inputs: the ring protocol, and
-``factorize``/``euler_phi`` against ``factorint``/``totient``.
+"""Differential tests against sympy on seeded inputs: the ring protocol,
+``factorize``/``euler_phi``/``is_prime`` against ``factorint``/``totient``/
+``isprime``, and ``cyclotomic_poly``.
 
 Q[a] elements are compared as sympy expressions in ``a``; polynomials over
 Q[a] as expressions in ``x`` and ``a``.  Skipped when sympy is absent.
@@ -10,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import ExactDivisionError
-from dynlab.numtheory import INPUT_BIT_CAP, euler_phi, factorize
+from dynlab.numtheory import INPUT_BIT_CAP, euler_phi, factorize, is_prime
 from dynlab.polycore import (QA, CoefficientRing, Polynomial, PrimeField,
                              poly_gcd, resultant)
 
@@ -190,3 +192,30 @@ def test_factorize_and_euler_phi_against_sympy():
         assert n.bit_length() <= INPUT_BIT_CAP
         assert dict(factorize(n).factors) == sympy.factorint(n), n
         assert euler_phi(n) == sympy.totient(n), n
+
+
+def test_is_prime_against_sympy():
+    rng = random.Random(4090)
+    inputs = []
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(40, 90)) | 1
+        inputs += [n, int(sympy.nextprime(n))]
+    for n in inputs:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_cyclotomic_poly_against_sympy():
+    # Every n up to 300, the largest-radical n up to 1500 and a seeded sample
+    # of the rest (sympy builds each one from scratch: all of 1..1500 costs
+    # about 15 s of sympy time).
+    rng = random.Random(1500)
+    inputs = list(range(1, 301))
+    inputs += [210, 330, 390, 420, 462, 510, 546, 570, 630, 660, 690, 714,
+               770, 798, 840, 858, 870, 910, 924, 930, 966, 990, 1001, 1020,
+               1050, 1092, 1110, 1155, 1260, 1320, 1365, 1386, 1428, 1430,
+               1470, 1485, 1496, 1500]
+    inputs += rng.sample(range(301, 1501), 100)
+    for n in inputs:
+        coeffs = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()
+        assert cyclotomic_poly(n).coeffs == tuple(
+            Fraction(int(c)) for c in reversed(coeffs)), n

@@ -172,3 +172,43 @@ def test_is_prime_basics():
     # strong pseudoprime stress: Carmichael numbers
     for c in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
         assert not is_prime(c)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
+# first 13 prime bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_psi_12_is_composite():
+    # 41, the 13th base, is a witness
+    assert not is_prime(PSI_12)
+    assert PSI_12 < numtheory._MR_PROVEN_BELOW
+
+
+def test_is_prime_psi_13_is_composite():
+    # a strong pseudoprime to all 13 proven bases: only a base above 41
+    # exposes it
+    assert PSI_13 == numtheory._MR_PROVEN_BELOW
+    assert numtheory._MR_BASES[12] == 41
+    assert not is_prime(PSI_13)
+
+
+def test_is_prime_runs_thirteen_bases_below_psi_13():
+    calls = []
+
+    class CountingBases(tuple):
+        def __getitem__(self, index):
+            calls.append(index)
+            return tuple.__getitem__(self, index)
+
+    saved = numtheory._MR_BASES
+    numtheory._MR_BASES = CountingBases(saved)
+    try:
+        assert is_prime(2**61 - 1)
+        assert calls == [slice(None, 13, None)]
+        calls.clear()
+        assert is_prime(2**89 - 1)
+        assert calls == []
+    finally:
+        numtheory._MR_BASES = saved
