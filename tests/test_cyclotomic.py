@@ -2,10 +2,9 @@ import math
 import random
 import threading
 from array import array
+from fractions import Fraction
 
 import pytest
-
-from fractions import Fraction
 
 from dynlab import numtheory
 from dynlab.cyclotomic import (CycloFactorReport, _candidate_cap,
@@ -37,6 +36,7 @@ def small_totients():
 
 def old_candidates(pairs, max_phi):
     """The candidate list as the scan used to build it: k <= 2*D**2."""
+    assert max_phi <= OLD_LIST_MAX_PHI
     return [k for k, f in pairs if f <= max_phi and k <= 2 * max_phi**2]
 
 
