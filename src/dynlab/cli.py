@@ -148,7 +148,7 @@ def _parse_specialize(text: str) -> Fraction:
     name, _, value = text.partition("=")
     if name.strip() != "a" or not value:
         raise DomainError("--specialize expects a=<rational>, e.g. a=-5/4")
-    return Fraction(value.strip())
+    return QQ.coerce(value.strip())
 
 
 def _cmd_relation(args) -> int:

@@ -3,9 +3,11 @@
 The degree-d dynatomic polynomial of f is the alternating product over
 divisors of d of (f-iterate minus x) factors; it is a genuine polynomial,
 so it is built here as one exact division of the positively-weighted
-product by the negatively-weighted one.  A nonzero remainder anywhere in
-this module is mathematical information (a falsified divisibility), and is
-propagated as ExactDivisionError rather than silenced.
+product by the negatively-weighted one.  The preperiod-m dynatomic follows
+the recurrence Phi_{f,m,n} = Phi_{f,1,n}(f**(m-1)), where Phi_{f,1,n} =
+Phi_n(f) / Phi_n is the only further division.  A nonzero remainder here
+is mathematical information (a falsified divisibility), and is propagated
+as ExactDivisionError rather than silenced.
 
 Tuple arithmetic alone decides whether a preperiod/period pair (m, n)
 universally divides the shifted (c, d) dynatomic: those checks live in
@@ -24,7 +26,7 @@ from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, ResourceLimitError
 from .necklace import fast_xn1_divides
 from .numtheory import core_and_cocore, divisors, squarefree_divisors
-from .polycore import QQ, Polynomial
+from .polycore import QQ, Polynomial, _iterates
 
 DEFAULT_DEGREE_CAP = 5000
 
@@ -58,16 +60,6 @@ def _require_dynamical(f: Polynomial) -> None:
         raise DomainError("dynatomic constructions need deg(f) >= 2")
 
 
-def _iterates(f: Polynomial, needed: set[int]) -> dict[int, Polynomial]:
-    table: dict[int, Polynomial] = {0: Polynomial.x(f.ring)}
-    current = table[0]
-    for k in range(1, max(needed, default=0) + 1):
-        current = f.compose(current)
-        if k in needed:
-            table[k] = current
-    return table
-
-
 def dynatomic_poly(f: Polynomial, d: int) -> Polynomial:
     """Product over e | d of (f**(d/e)(x) - x) ** mobius(e), exactly.
 
@@ -92,16 +84,21 @@ def dynatomic_poly(f: Polynomial, d: int) -> Polynomial:
 
 
 def generalized_dynatomic(f: Polynomial, m: int, n: int) -> Polynomial:
-    """Preperiod-m, period-n dynatomic: the m = 0 case is plain dynatomic."""
+    """Preperiod-m, period-n dynatomic Phi_n(f**m) / Phi_n(f**(m-1)).
+
+    The m = 0 case is plain dynatomic.  For m >= 1 it is P(f**(m-1)) with
+    P = Phi_n(f) / Phi_n: composing on the right with g is a ring
+    homomorphism, so Phi_n(f**m) = (P * Phi_n)(f**(m-1))
+    = P(f**(m-1)) * Phi_n(f**(m-1)).  Only P needs a division.
+    """
     _require_dynamical(f)
     if m < 0 or n < 1:
         raise DomainError("generalized dynatomic needs m >= 0, n >= 1")
-    phi_n = dynatomic_poly(f, n)
+    phi = dynatomic_poly(f, n)
     if m == 0:
-        return phi_n
-    fm1 = f.iterate(m - 1)
-    fm = f.compose(fm1)
-    return phi_n.compose(fm).div_exact(phi_n.compose(fm1))
+        return phi
+    phi = phi.compose(f).div_exact(phi)
+    return phi if m == 1 else phi.compose(_iterates(f, {m - 1})[m - 1])
 
 
 def telescope_check(f: Polynomial, m: int, n: int) -> bool:
@@ -116,8 +113,8 @@ def telescope_check(f: Polynomial, m: int, n: int) -> bool:
     for i in range(m + 1):
         for j in divisors(n):
             product = product * generalized_dynatomic(f, i, j)
-    gap = f.iterate(m + n) - f.iterate(m)
-    return product == gap
+    table = _iterates(f, {m, m + n})
+    return product == table[m + n] - table[m]
 
 
 @dataclass(frozen=True)
@@ -198,16 +195,17 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
                     cap: int | None = None) -> DivisibilityEvidence:
     """Exact test: does the (m, n) dynatomic divide the (c, d) one minus 1?
 
-    Refuses (ResourceLimitError) when the constructed degree would exceed
-    the cap (default 5000, DYNLAB_DEGREE_CAP overrides).
+    Refuses (ResourceLimitError) before building anything when either
+    dynatomic's degree would exceed the cap (5000, or DYNLAB_DEGREE_CAP).
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
-    predicted = generalized_dynatomic_degree(f.degree, t.c, t.d)
-    if predicted > cap:
-        raise ResourceLimitError(
-            f"degree {predicted} of the ({t.c}, {t.d}) dynatomic exceeds "
-            f"the cap {cap}")
+    for pre, per in ((t.c, t.d), (t.m, t.n)):
+        predicted = generalized_dynatomic_degree(f.degree, pre, per)
+        if predicted > cap:
+            raise ResourceLimitError(
+                f"degree {predicted} of the ({pre}, {per}) dynatomic exceeds "
+                f"the cap {cap}")
     divisor = generalized_dynatomic(f, t.m, t.n)
     shifted = generalized_dynatomic(f, t.c, t.d) - 1
     quot, rem = divmod(shifted, divisor)

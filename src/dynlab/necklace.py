@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .errors import DomainError, NotInvertibleError
 from .numtheory import squarefree_divisors
-from .polycore import QQ, Polynomial
+from .polycore import QQ, Polynomial, _iterates
 
 
 class PsiElement:
@@ -233,15 +233,7 @@ def dynamical_necklace(f: Polynomial, d: int) -> Polynomial:
         raise DomainError(
             f"{d} is not invertible in characteristic {ring.characteristic}")
     pairs = squarefree_divisors(d)
-    needed = sorted({d // e for e, _ in pairs})
-    iterates: dict[int, Polynomial] = {}
-    current = Polynomial.x(ring)
-    step = 0
-    for k in needed:
-        while step < k:
-            current = f.compose(current)
-            step += 1
-        iterates[k] = current
+    iterates = _iterates(f, {d // e for e, _ in pairs})
     acc = Polynomial.zero(ring)
     for e, mu in pairs:
         acc = acc + iterates[d // e].scale(mu)

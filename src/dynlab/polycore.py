@@ -112,10 +112,11 @@ class Rationals(CoefficientRing):
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+        if isinstance(value, (int, str)):
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise DomainError(f"zero denominator in {value!r}") from None
         raise DomainError(f"cannot interpret {value!r} as a rational")
 
     def add(self, u, v):
@@ -487,10 +488,7 @@ class Polynomial:
         """k-fold self-composition; the 0th iterate is x."""
         if not isinstance(k, int) or k < 0:
             raise DomainError("iteration count must be a nonnegative int")
-        acc = Polynomial.x(self.ring)
-        for _ in range(k):
-            acc = self.compose(acc)
-        return acc
+        return _iterates(self, {k})[k]
 
     def derivative(self) -> "Polynomial":
         ring = self.ring
@@ -591,6 +589,17 @@ def _raw(ring: CoefficientRing, coeffs: tuple) -> Polynomial:
     object.__setattr__(poly, "ring", ring)
     object.__setattr__(poly, "coeffs", tuple(coeffs))
     return poly
+
+
+def _iterates(f: Polynomial, needed: set[int]) -> dict[int, Polynomial]:
+    """The iterates f**k(x) for k in needed (and k = 0), composing no further."""
+    table = {0: Polynomial.x(f.ring)}
+    current = table[0]
+    for k in range(1, max(needed, default=0) + 1):
+        current = f.compose(current)
+        if k in needed:
+            table[k] = current
+    return table
 
 
 def _strip(ring: CoefficientRing, cs: list) -> tuple:

@@ -226,6 +226,23 @@ class TestErrorHandling:
         assert captured.out == ""
         assert "--specialize" in captured.err
 
+    def test_zero_denominator_is_one_line_error(self, capsys):
+        code = main(["relation", "--m", "1", "--n", "2", "--c", "1", "--d", "3",
+                     "--specialize", "a=1/0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_degree_cap_covers_divisor_leg(self, capsys):
+        code = main(["relation", "--m", "6", "--n", "3", "--c", "0", "--d", "1",
+                     "--force", "--degree-max", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: degree 192 of the (6, 3) dynatomic "
+                                "exceeds the cap 100\n")
+
 
 def test_scan_helpers_consistent():
     rows = scan_rows(20, 10)

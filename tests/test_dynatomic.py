@@ -75,6 +75,49 @@ class TestGeneralizedDynatomic:
                     assert got == generalized_dynatomic_degree(k, m, n), (k, m, n)
 
 
+def _retired_generalized(f, n, ms):
+    """Phi_n(f**m) div_exact Phi_n(f**(m-1)) for each m in ms.
+
+    The construction generalized_dynatomic used before the recurrence; each
+    Phi_n(f**k) is composed once and serves two consecutive quotients.
+    """
+    phi = dynatomic_poly(f, n)
+    out = {0: phi}
+    inner, prev = Polynomial.x(f.ring), phi
+    for m in range(1, max(ms) + 1):
+        inner = f.compose(inner)
+        cur = phi.compose(inner)
+        if m in ms:
+            out[m] = cur.div_exact(prev)
+        prev = cur
+    return out
+
+
+# The degree bounds keep the whole comparison near 8 s.  The old
+# construction costs 5-8 s per quartic leg of degree 2880 over Q, about 40 s
+# for x^3+a*x+1 at (4, 2) (degree 324) over Q[a], where coefficients grow
+# with every iterate, and the new one alone runs for minutes at (4, 3).
+@pytest.mark.parametrize("text,ring,max_degree", [
+    ("x^2-x-1", QQ, 1000),
+    ("x^4+x+1", QQ, 1000),
+    ("x^2-3/4", QQ, 1000),
+    ("2*x^2-1/3", QQ, 1000),
+    ("x^2+x+3", PrimeField(5), 3000),
+    ("x^3+2*x+1", PrimeField(7), 3000),
+    ("x^2+a", QA, 100),
+    ("a*x^2+1", QA, 100),
+    ("x^3+a*x+1", QA, 100),
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_recurrence_matches_retired_construction(text, ring, max_degree, n):
+    f = parse_polynomial(text, ring)
+    ms = [m for m in range(5)
+          if generalized_dynatomic_degree(f.degree, m, n) <= max_degree]
+    expected = _retired_generalized(f, n, ms)
+    for m in ms:
+        assert generalized_dynatomic(f, m, n) == expected[m], (text, m, n)
+
+
 class TestTelescope:
     def test_spec_cases(self):
         assert telescope_check(F_SQUARE, 1, 2)
@@ -144,6 +187,8 @@ class TestVerifyRelation:
             verify_relation(RelationTuple(0, 1, 0, 13), F_SQ1)
         with pytest.raises(ResourceLimitError):
             verify_relation(RelationTuple(0, 2, 0, 5), F_SQ1, cap=10)
+        with pytest.raises(ResourceLimitError, match=r"\(6, 3\) dynatomic"):
+            verify_relation(RelationTuple(6, 3, 0, 1), F_SQ1, cap=100)
 
     def test_degree_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("DYNLAB_DEGREE_CAP", "40")

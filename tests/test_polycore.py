@@ -5,8 +5,9 @@ import pytest
 
 from conftest import sylvester_resultant
 from dynlab.errors import DomainError, ExactDivisionError
-from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, is_squarefree,
-                             parse_polynomial, poly_gcd, resultant)
+from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _iterates,
+                             is_squarefree, parse_polynomial, poly_gcd,
+                             resultant)
 
 X = Polynomial.x(QQ)
 
@@ -116,6 +117,18 @@ class TestEvaluationAndComposition:
         assert (X**2).iterate(3) == X**8
         assert (X**5 - 3).iterate(0) == X
         assert (X**2 + 1).iterate(2) == X**4 + 2 * X**2 + 2
+
+    def test_iterates_compose_no_further_than_needed(self, monkeypatch):
+        calls = []
+        compose = Polynomial.compose
+        monkeypatch.setattr(Polynomial, "compose",
+                            lambda p, q: calls.append(1) or compose(p, q))
+        f = X**2 + 1
+        assert f.iterate(5) == f.compose(f.iterate(4))
+        assert len(calls) == 5 + 1 + 4
+        calls.clear()
+        table = _iterates(f, {2, 5})
+        assert sorted(table) == [0, 2, 5] and len(calls) == 5
 
 
 class TestDivision:
@@ -313,6 +326,13 @@ class TestTextAndJson:
             for _ in range(100):
                 p = rand_poly(rng, ring, 5)
                 assert Polynomial.from_json_dict(p.to_json_dict()) == p
+
+    def test_zero_denominator_is_domain_error(self):
+        for ring in (QQ, QA):
+            with pytest.raises(DomainError):
+                ring.coerce("1/0")
+            with pytest.raises(DomainError):
+                Polynomial.from_json_dict({"ring": ring.tag, "coeffs": ["1/0"]})
 
     def test_json_shape(self):
         data = parse_polynomial("x^2+a").to_json_dict()

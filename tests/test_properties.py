@@ -1,0 +1,104 @@
+"""Property checks on polynomial division and the text round trip.
+
+Division must satisfy a == q*b + r with deg r < deg b over every ring the
+library serves.  Operand lengths are drawn on both sides of
+``_SCHOOLBOOK_TERMS``, so the products that check a division run the
+schoolbook loop and, where enough coefficients are nonzero, the Kronecker
+kernel.  Examples are derandomized, so every run draws the same inputs.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import Phase, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dynlab.polycore import (QA, QQ, Polynomial, PrimeField,  # noqa: E402
+                             _SCHOOLBOOK_TERMS, parse_polynomial)
+
+T = _SCHOOLBOOK_TERMS
+LENGTHS = {"short": (1, T - 1), "long": (T + 1, T + 12)}
+
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))
+nonzero_rationals = rationals.filter(bool)
+param_coeffs = st.lists(rationals, max_size=3).map(tuple)
+
+# No shrink phase: a long-band operand cannot shrink below the band, and
+# shrinking one failing long division took minutes.
+deterministic = settings(derandomize=True, deadline=None, max_examples=20,
+                         phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+@st.composite
+def division_operands(draw, coeff, lead, lengths):
+    """(a, b) with b's lead nonzero.
+
+    b's length lies in the band; the quotient's lies in it or one below it,
+    which in the short band allows a zero quotient.
+    """
+    low, high = lengths
+    nb = draw(st.integers(low, high))
+    nq = draw(st.integers(low - 1, high))
+    b = draw(st.lists(coeff, min_size=nb - 1, max_size=nb - 1)) + [draw(lead)]
+    a = draw(st.lists(coeff, min_size=nb + nq - 1, max_size=nb + nq - 1))
+    return a, b
+
+
+def check_division(ring, a, b):
+    num, den = Polynomial(ring, a), Polynomial(ring, b)
+    quot, rem = divmod(num, den)
+    assert quot * den + rem == num
+    assert rem.degree < den.degree
+
+
+@pytest.mark.parametrize("band", sorted(LENGTHS))
+def test_divmod_over_q(band):
+    @deterministic
+    @given(division_operands(rationals, nonzero_rationals, LENGTHS[band]))
+    def run(operands):
+        check_division(QQ, *operands)
+
+    run()
+
+
+@pytest.mark.parametrize("band", sorted(LENGTHS))
+@pytest.mark.parametrize("p", [2, 7121, 2**61 - 1])
+def test_divmod_over_prime_fields(p, band):
+    residues = st.integers(0, p - 1)
+
+    @deterministic
+    @given(division_operands(residues, st.integers(1, p - 1), LENGTHS[band]))
+    def run(operands):
+        check_division(PrimeField(p), *operands)
+
+    run()
+
+
+@pytest.mark.parametrize("band", sorted(LENGTHS))
+def test_divmod_over_param_ring_by_constant_leading_coefficient(band):
+    constant_leads = nonzero_rationals.map(lambda c: (c,))
+
+    # a long Q[a] division grows the a-degree of its quotient by up to two
+    # per step and costs about 0.4 s, so that band draws fewer examples
+    @settings(deterministic, max_examples=5 if band == "long" else 20)
+    @given(division_operands(param_coeffs, constant_leads, LENGTHS[band]))
+    def run(operands):
+        check_division(QA, *operands)
+
+    run()
+
+
+@deterministic
+@given(st.lists(rationals, max_size=12))
+def test_text_round_trip_over_q(coeffs):
+    p = Polynomial(QQ, coeffs)
+    assert parse_polynomial(p.to_text(), QQ) == p
+
+
+@deterministic
+@given(st.lists(param_coeffs, max_size=12))
+def test_text_round_trip_over_param_ring(coeffs):
+    p = Polynomial(QA, coeffs)
+    assert parse_polynomial(p.to_text(), QA) == p
