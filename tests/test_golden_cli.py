@@ -50,6 +50,15 @@ CASES = [
     ("relation_0206_force_specialize",
      ["relation", "--m", "0", "--n", "2", "--c", "0", "--d", "6", "--force",
       "--specialize", "a=-1", "--trials", "0"], 2, []),
+    ("relation_2114_family",
+     ["relation", "--m", "2", "--n", "1", "--c", "1", "--d", "4",
+      "--family", "x^2+3*x+1", "--trials", "4"], 0, []),
+    ("relation_0123_specialize_json",
+     ["relation", "--m", "0", "--n", "1", "--c", "2", "--d", "3",
+      "--specialize", "a=1", "--trials", "5", "--format", "json"], 0, []),
+    ("relation_2131_force",
+     ["relation", "--m", "2", "--n", "1", "--c", "3", "--d", "1", "--force",
+      "--trials", "4"], 2, []),
     ("scan_300",
      ["scan", "--d-max", "300", "--n-max", "300", "--out", "grid.csv",
       "--svg", "grid.svg"], 0, ["grid.csv", "grid.svg"]),
