@@ -12,7 +12,17 @@ as ExactDivisionError rather than silenced.
 Tuple arithmetic alone decides whether a preperiod/period pair (m, n)
 universally divides the shifted (c, d) dynatomic: those checks live in
 ``relation_conditions``; ``verify_relation`` performs the polynomial leg
-for a concrete or parametric f.
+for a concrete or parametric f.  It works modulo D = Phi_{f,m,n}, which
+divides f**(m+n) - f**m, so f**k is congruent to f**k' for
+k' = PsiQuotient(m, n).reduce_index(k).  Three routes, chosen by the tuple
+and D alone:
+
+1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences;
+   if Res(D, Dn) != 0 then D | Phi_{f,c,d} - 1 exactly when N = Dn mod D.
+2. P(g), for c >= 2: Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), so Horner mod D
+   at g = f**(c-1) mod D gives the exact remainder.
+3. Otherwise, or when D's leading coefficient is not a unit or D is not
+   smaller than Phi_{f,c,d}, Phi_{f,c,d} is built and divided.
 """
 
 from __future__ import annotations
@@ -24,9 +34,9 @@ from fractions import Fraction
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, ResourceLimitError
-from .necklace import fast_xn1_divides
+from .necklace import PsiQuotient, fast_xn1_divides
 from .numtheory import core_and_cocore, divisors, squarefree_divisors
-from .polycore import QQ, Polynomial, _iterates
+from .polycore import QA, QQ, Polynomial, _iterates, resultant
 
 DEFAULT_DEGREE_CAP = 5000
 
@@ -189,34 +199,97 @@ class DivisibilityEvidence:
         }
 
 
+def _check_cap(k: int, pre: int, per: int, cap: int) -> None:
+    """Refuse to build the (pre, per) dynatomic when its degree is over cap."""
+    predicted = generalized_dynatomic_degree(k, pre, per)
+    if predicted > cap:
+        raise ResourceLimitError(
+            f"degree {predicted} of the ({pre}, {per}) dynatomic exceeds "
+            f"the cap {cap}")
+
+
 def verify_relation(t: RelationTuple, f: Polynomial, *,
                     family: str | None = None,
                     seed: int | None = None,
                     cap: int | None = None) -> DivisibilityEvidence:
-    """Exact test: does the (m, n) dynatomic divide the (c, d) one minus 1?
+    """Exact test: does D = Phi_{f,m,n} divide Phi_{f,c,d} - 1?
 
-    Refuses (ResourceLimitError) before building anything when either
-    dynatomic's degree would exceed the cap (5000, or DYNLAB_DEGREE_CAP).
+    D is always built.  When its leading coefficient is a unit and it is
+    smaller than Phi_{f,c,d}, the quotient routes (``_quotient_remainder``)
+    work mod D; Phi_{f,c,d} is built only when they cannot decide.  The cap
+    (5000, or DYNLAB_DEGREE_CAP) bounds the degree actually built: D before
+    anything is built, Phi_{f,1,d} before the P(g) route, Phi_{f,c,d}
+    before the full construction; each refusal is a ResourceLimitError.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
-    for pre, per in ((t.c, t.d), (t.m, t.n)):
-        predicted = generalized_dynatomic_degree(f.degree, pre, per)
-        if predicted > cap:
-            raise ResourceLimitError(
-                f"degree {predicted} of the ({pre}, {per}) dynatomic exceeds "
-                f"the cap {cap}")
+    k = f.degree
+    _check_cap(k, t.m, t.n, cap)
     divisor = generalized_dynatomic(f, t.m, t.n)
-    shifted = generalized_dynatomic(f, t.c, t.d) - 1
-    quot, rem = divmod(shifted, divisor)
+    top = generalized_dynatomic_degree(k, t.c, t.d)
+    rem = None
+    if divisor.degree < top and _unit_lead(divisor):
+        rem = _quotient_remainder(t, f, divisor, cap)
+    if rem is None:
+        _check_cap(k, t.c, t.d, cap)
+        rem = (generalized_dynatomic(f, t.c, t.d) - 1) % divisor
     return DivisibilityEvidence(
         family=family if family is not None else f.to_text(),
         ring=f.ring.tag,
         seed=seed,
         divides=rem.is_zero,
-        cofactor_degree=quot.degree if rem.is_zero else None,
+        cofactor_degree=top - divisor.degree if rem.is_zero else None,
         remainder_degree=None if rem.is_zero else rem.degree,
     )
+
+
+def _unit_lead(divisor: Polynomial) -> bool:
+    """Is the leading coefficient a unit, so that reduction mod D is exact?"""
+    return divisor.ring is not QA or len(divisor.lc) == 1
+
+
+def _quotient_remainder(t: RelationTuple, f: Polynomial,
+                        divisor: Polynomial, cap: int) -> Polynomial | None:
+    """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
+
+    Modulo D the iterates are periodic: D | f**(m+n) - f**m, so f**k is
+    congruent to f**k' with k' = PsiQuotient(m, n).reduce_index(k).
+
+    Route 1: Phi_{f,c,d} * Dn = N exactly, where N and Dn collect the
+    factors f**(c+d/e) - f**c (and, for c >= 1, the factors at c - 1 with
+    the opposite sign) by the sign of mu(e).  If Res(D, Dn) != 0 then D is
+    prime to Dn, so D | Phi_{f,c,d} - 1 exactly when N = Dn mod D.
+
+    Route 2 (c >= 2, when route 1 does not prove divisibility):
+    Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), and composing on the right is a
+    ring homomorphism, so Horner on Phi_{f,1,d} at g = f**(c-1) mod D gives
+    the exact remainder.  Otherwise None: the caller builds Phi_{f,c,d}.
+    """
+    ring = f.ring
+    index = PsiQuotient(t.m, t.n).reduce_index
+    residues = [Polynomial.x(ring) % divisor]
+    for _ in range(t.m + t.n - 1):
+        residues.append(f.compose(residues[-1]) % divisor)
+    num = den = Polynomial.one(ring)
+    shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
+    for e, mu in squarefree_divisors(t.d):
+        for pre, sign in shifts:
+            factor = residues[index(pre + t.d // e)] - residues[index(pre)]
+            if mu * sign == 1:
+                num = num * factor % divisor
+            else:
+                den = den * factor % divisor
+    if (num == den and not den.is_zero
+            and not ring.is_zero(resultant(divisor, den))):
+        return Polynomial.zero(ring)
+    if t.c < 2:
+        return None
+    _check_cap(f.degree, 1, t.d, cap)
+    g = residues[index(t.c - 1)]
+    acc = Polynomial.zero(ring)
+    for coeff in reversed(generalized_dynatomic(f, 1, t.d).coeffs):
+        acc = (acc * g + Polynomial.constant(ring, coeff)) % divisor
+    return acc - 1
 
 
 @dataclass(frozen=True)
@@ -303,8 +376,6 @@ def unit_relation_resultant(f: Polynomial, t: RelationTuple):
     divisibility relation holds.  Over the parameter ring it is a
     polynomial in a; at a shared root it vanishes.
     """
-    from .polycore import resultant
-
     _require_dynamical(f)
     left = generalized_dynatomic(f, t.m, t.n)
     right = generalized_dynatomic(f, t.c, t.d)

@@ -243,6 +243,16 @@ class TestErrorHandling:
         assert captured.err == ("error: degree 192 of the (6, 3) dynatomic "
                                 "exceeds the cap 100\n")
 
+    def test_quotient_route_answers_past_the_cap(self, capsys):
+        # Phi_{0,24} of the quartic legs has degree about 2.8e14; only the
+        # (1, 1) divisor is built
+        code = main(["relation", "--m", "1", "--n", "1", "--c", "0", "--d", "24",
+                     "--trials", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.endswith("  evidence: 4/4 divide\n")
+
 
 def test_scan_helpers_consistent():
     rows = scan_rows(20, 10)

@@ -1,6 +1,7 @@
 """Differential tests against sympy on seeded inputs: the ring protocol,
-``factorize``/``euler_phi``/``is_prime`` against ``factorint``/``totient``/
-``isprime``, and ``cyclotomic_poly``.
+``resultant`` and ``poly_gcd`` over Q, F_p and Q[a], ``factorize``/
+``euler_phi``/``is_prime`` against ``factorint``/``totient``/``isprime``, and
+``cyclotomic_poly``.
 
 Q[a] elements are compared as sympy expressions in ``a``; polynomials over
 Q[a] as expressions in ``x`` and ``a``.  Skipped when sympy is absent.
@@ -14,8 +15,8 @@ import pytest
 from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import ExactDivisionError
 from dynlab.numtheory import INPUT_BIT_CAP, euler_phi, factorize, is_prime
-from dynlab.polycore import (QA, CoefficientRing, Polynomial, PrimeField,
-                             poly_gcd, resultant)
+from dynlab.polycore import (QA, QQ, CoefficientRing, Polynomial,
+                             PrimeField, poly_gcd, resultant)
 
 sympy = pytest.importorskip("sympy")
 x, a = sympy.symbols("x a")
@@ -149,6 +150,32 @@ def test_prime_field_resultant_and_gcd(p):
         assert ours.degree == sym_gcd.degree()
         assert [c % p for c in reversed(sym_gcd.all_coeffs())] == \
             list(ours.coeffs)
+
+
+def rand_q_poly(rng, degree):
+    cs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+          for _ in range(degree + 1)]
+    while not cs[-1]:
+        cs[-1] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+    return Polynomial(QQ, cs)
+
+
+def test_q_resultant_and_gcd():
+    # the relation quotient route certifies coprimality by a nonzero
+    # resultant over Q, so pairs with a planted common factor must give 0
+    rng = random.Random(808)
+    planted = 0
+    for _ in range(80):
+        f = rand_q_poly(rng, rng.randint(0, 6))
+        g = rand_q_poly(rng, rng.randint(0, 6))
+        if rng.random() < 0.4:
+            h = rand_q_poly(rng, rng.randint(1, 3))
+            f, g = f * h, g * h
+            planted += 1
+        expected = sympy_resultant(f, g)
+        assert resultant(f, g) == Fraction(int(expected.p), int(expected.q))
+        assert (resultant(f, g) == 0) == (poly_gcd(f, g).degree > 0)
+    assert planted >= 20
 
 
 def test_qa_resultant_and_gcd():

@@ -1,10 +1,15 @@
+import collections
+import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dynlab.dynatomic import (RelationTuple, build_relation_certificate,
+from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
+                              _quotient_remainder, _unit_lead,
+                              build_relation_certificate,
                               dynatomic_degree, dynatomic_poly,
                               fixed_point_identity, generalized_dynatomic,
                               generalized_dynatomic_degree,
@@ -183,12 +188,36 @@ class TestVerifyRelation:
             assert ev.divides, value
 
     def test_degree_guard(self):
-        with pytest.raises(ResourceLimitError):
+        # route 1 is inconclusive on these (N = Dn = 0 mod D) and c = 0, so
+        # the full construction runs and its (c, d) leg is over the cap
+        with pytest.raises(ResourceLimitError, match=r"\(0, 13\) dynatomic"):
             verify_relation(RelationTuple(0, 1, 0, 13), F_SQ1)
-        with pytest.raises(ResourceLimitError):
-            verify_relation(RelationTuple(0, 2, 0, 5), F_SQ1, cap=10)
+        with pytest.raises(ResourceLimitError, match=r"\(0, 6\) dynatomic"):
+            verify_relation(RelationTuple(0, 2, 0, 6), F_SQ1, cap=10)
         with pytest.raises(ResourceLimitError, match=r"\(6, 3\) dynatomic"):
             verify_relation(RelationTuple(6, 3, 0, 1), F_SQ1, cap=100)
+        # the cap bounds what is built: route 1 builds only Phi_2 here
+        ev = verify_relation(RelationTuple(0, 2, 0, 5), F_SQ1, cap=10)
+        assert ev.divides and ev.cofactor_degree == 28
+
+    @pytest.mark.parametrize("d", [24, 60, 10**6])
+    def test_quotient_route_past_the_cap(self, d):
+        start = time.perf_counter()
+        ev = verify_relation(RelationTuple(1, 1, 0, d), F_SQ1)
+        elapsed = time.perf_counter() - start
+        assert ev.divides and ev.remainder_degree is None
+        assert ev.cofactor_degree == (generalized_dynatomic_degree(2, 0, d)
+                                      - generalized_dynatomic_degree(2, 1, 1))
+        assert elapsed < 0.5
+
+    def test_p_of_g_route_cap_names_the_leg_it_builds(self):
+        # (1, 1, 2, 5) is an alt-clause tuple: every factor is 0 mod D, so
+        # route 2 builds Phi_{1,5} (degree 30) rather than Phi_{2,5} (60)
+        ev = verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=30)
+        assert ev.divides and ev.cofactor_degree == 60 - 2
+        with pytest.raises(ResourceLimitError, match=r"degree 30 of the "
+                                                     r"\(1, 5\) dynatomic"):
+            verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=29)
 
     def test_degree_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("DYNLAB_DEGREE_CAP", "40")
@@ -196,6 +225,94 @@ class TestVerifyRelation:
             verify_relation(RelationTuple(0, 2, 0, 6), F_SQ1)
         monkeypatch.setenv("DYNLAB_DEGREE_CAP", "100")
         assert verify_relation(RelationTuple(0, 2, 0, 6), F_SQ1) is not None
+
+
+def _full_construction(t, f, family=None, seed=None):
+    """Build Phi_{f,c,d} and divide, as verify_relation did before the
+    quotient routes; returns (remainder, evidence)."""
+    divisor = generalized_dynatomic(f, t.m, t.n)
+    quot, rem = divmod(generalized_dynatomic(f, t.c, t.d) - 1, divisor)
+    return rem, DivisibilityEvidence(
+        family=family if family is not None else f.to_text(),
+        ring=f.ring.tag, seed=seed, divides=rem.is_zero,
+        cofactor_degree=quot.degree if rem.is_zero else None,
+        remainder_degree=None if rem.is_zero else rem.degree)
+
+
+def _cross_check(t, f, family=None, seed=None):
+    """verify_relation against the full construction, and the quotient
+    routes' exact remainder against the full one; returns the route."""
+    rem, expected = _full_construction(t, f, family, seed)
+    assert verify_relation(t, f, family=family, seed=seed,
+                           cap=10**6) == expected, (t, f)
+    divisor = generalized_dynatomic(f, t.m, t.n)
+    if not _unit_lead(divisor):
+        return "lead"
+    fast = _quotient_remainder(t, f, divisor, 10**6)
+    if fast is None:
+        return "full"
+    assert fast == rem, (t, f)
+    if not fast.is_zero:
+        return "P(g)"
+    return "N/Dn" if t.c < 2 else "N/Dn or P(g)"
+
+
+def _seeded_legs(t, family, seed, trials):
+    legs = [(t, family, None)]
+    rng = random.Random(seed)
+    legs += [(t, random_monic_integer_poly(rng), seed) for _ in range(trials)]
+    return legs
+
+
+def _test_suite_legs():
+    """Every tuple, family and seed that criteria 05/06 and this file use."""
+    from test_acceptance import ACCEPTED_TUPLES
+
+    legs = []
+    for tup in ACCEPTED_TUPLES:
+        legs += _seeded_legs(RelationTuple(*tup), F_PARAM, 0, 20)
+    t06 = RelationTuple(0, 2, 0, 6)
+    legs += [(t06, F_PARAM, None), (t06, F_SQ1, None)]
+    legs += [(t06, F_PARAM.specialize(v), None)
+             for v in (Fraction(-1), Fraction(-5, 4))]
+    for tup in ((0, 2, 0, 3), (1, 1, 0, 2), (0, 2, 0, 5), (1, 1, 2, 5),
+                (6, 3, 0, 1)):
+        legs.append((RelationTuple(*tup), F_SQ1, None))
+    # a leading coefficient in a: reduction mod D leaves Q[a][x]
+    legs.append((RelationTuple(0, 2, 0, 5), parse_polynomial("a*x^2+1"), None))
+    legs += _seeded_legs(RelationTuple(1, 2, 1, 3), F_PARAM, 0, 5)
+    for seed in (0, 7, 8):
+        legs += _seeded_legs(RelationTuple(1, 1, 0, 2), F_PARAM, seed, 4)
+    rng = random.Random(77)
+    for tup in ((1, 1, 0, 2), (0, 2, 0, 3), (1, 2, 1, 3)):
+        legs += [(RelationTuple(*tup), random_monic_integer_poly(rng, (2, 3)),
+                  None) for _ in range(5)]
+    return legs
+
+
+def _box_legs():
+    """Admissible and forced tuples with deg Phi_{c,d} <= 240 for quartics
+    and a smaller divisor, x^2+a and 3 seeded trials each."""
+    legs = []
+    for m, n, c, d in itertools.product(range(4), range(1, 4), range(5),
+                                        range(1, 7)):
+        top = generalized_dynatomic_degree(4, c, d)
+        if generalized_dynatomic_degree(4, m, n) < top <= 240:
+            t = RelationTuple(m, n, c, d)
+            legs += _seeded_legs(t, F_PARAM, 1000 * m + 100 * n + 10 * c + d, 3)
+    return legs
+
+
+class TestQuotientRoutes:
+    @pytest.mark.parametrize("legs,routes_seen", [
+        (_test_suite_legs, {"N/Dn", "N/Dn or P(g)", "full", "lead"}),
+        (_box_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "full"}),
+    ], ids=["suite", "box"])
+    def test_agrees_with_full_construction(self, legs, routes_seen):
+        routes = collections.Counter()
+        for t, f, seed in legs():
+            routes[_cross_check(t, f, seed=seed)] += 1
+        assert set(routes) == routes_seen, routes
 
 
 class TestCertificates:

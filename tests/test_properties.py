@@ -1,4 +1,4 @@
-"""Property checks on polynomial division and the text round trip.
+"""Property checks on polynomial division and the text and JSON round trips.
 
 Division must satisfy a == q*b + r with deg r < deg b over every ring the
 library serves.  Operand lengths are drawn on both sides of
@@ -7,6 +7,7 @@ schoolbook loop and, where enough coefficients are nonzero, the Kronecker
 kernel.  Examples are derandomized, so every run draws the same inputs.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,20 @@ def test_text_round_trip_over_q(coeffs):
 def test_text_round_trip_over_param_ring(coeffs):
     p = Polynomial(QA, coeffs)
     assert parse_polynomial(p.to_text(), QA) == p
+
+
+@pytest.mark.parametrize("ring,coeff", [
+    (QQ, rationals),
+    (PrimeField(7121), st.integers(0, 7120)),
+    (PrimeField(2**61 - 1), st.integers(0, 2**61 - 2)),
+    (QA, param_coeffs),
+], ids=["Q", "F_7121", "F_mersenne61", "Qa"])
+def test_json_round_trip(ring, coeff):
+    @deterministic
+    @given(st.lists(coeff, max_size=12))
+    def run(coeffs):
+        p = Polynomial(ring, coeffs)
+        back = Polynomial.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+        assert back.ring == ring and back == p
+
+    run()
