@@ -17,12 +17,16 @@ divides f**(m+n) - f**m, so f**k is congruent to f**k' for
 k' = PsiQuotient(m, n).reduce_index(k).  Three routes, chosen by the tuple
 and D alone:
 
-1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences;
-   if Res(D, Dn) != 0 then D | Phi_{f,c,d} - 1 exactly when N = Dn mod D.
-2. P(g), for c >= 2: Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), so Horner mod D
-   at g = f**(c-1) mod D gives the exact remainder.
-3. Otherwise, or when D's leading coefficient is not a unit or D is not
-   smaller than Phi_{f,c,d}, Phi_{f,c,d} is built and divided.
+1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences.
+   If Res(D, Dn) != 0, D is prime to Dn (over Q(a) for Q[a]), so
+   D | Phi_{f,c,d} - 1 exactly when D | (Phi_{f,c,d} - 1) * Dn = N - Dn.
+2. P(g), for c >= 2: Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), and composing
+   on the right is a ring homomorphism, so Horner mod D at
+   g = f**(c-1) mod D gives the exact remainder.
+3. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
+   smaller than Phi_{f,c,d}, or when D's leading coefficient is not a unit
+   (in Q[a], not a nonzero constant), where reduction mod D would leave
+   the coefficient ring.
 """
 
 from __future__ import annotations
@@ -215,11 +219,13 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     """Exact test: does D = Phi_{f,m,n} divide Phi_{f,c,d} - 1?
 
     D is always built.  When its leading coefficient is a unit and it is
-    smaller than Phi_{f,c,d}, the quotient routes (``_quotient_remainder``)
-    work mod D; Phi_{f,c,d} is built only when they cannot decide.  The cap
-    (5000, or DYNLAB_DEGREE_CAP) bounds the degree actually built: D before
-    anything is built, Phi_{f,1,d} before the P(g) route, Phi_{f,c,d}
-    before the full construction; each refusal is a ResourceLimitError.
+    smaller than Phi_{f,c,d}, the leg is decided mod D if possible: by
+    N = Dn mod D with Res(D, Dn) != 0, or for c >= 2 by the exact remainder
+    Phi_{f,1,d}(g) mod D (see the module docstring).  Otherwise Phi_{f,c,d}
+    is built and divided.  The cap (5000, or DYNLAB_DEGREE_CAP) bounds the
+    degree actually built: D before anything is built, Phi_{f,1,d} before
+    the P(g) route, Phi_{f,c,d} before the full construction; each refusal
+    is a ResourceLimitError.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
@@ -252,18 +258,9 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
                         divisor: Polynomial, cap: int) -> Polynomial | None:
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
 
-    Modulo D the iterates are periodic: D | f**(m+n) - f**m, so f**k is
-    congruent to f**k' with k' = PsiQuotient(m, n).reduce_index(k).
-
-    Route 1: Phi_{f,c,d} * Dn = N exactly, where N and Dn collect the
-    factors f**(c+d/e) - f**c (and, for c >= 1, the factors at c - 1 with
-    the opposite sign) by the sign of mu(e).  If Res(D, Dn) != 0 then D is
-    prime to Dn, so D | Phi_{f,c,d} - 1 exactly when N = Dn mod D.
-
-    Route 2 (c >= 2, when route 1 does not prove divisibility):
-    Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), and composing on the right is a
-    ring homomorphism, so Horner on Phi_{f,1,d} at g = f**(c-1) mod D gives
-    the exact remainder.  Otherwise None: the caller builds Phi_{f,c,d}.
+    Routes 1 and 2 of the module docstring.  N and Dn collect the factors
+    f**(c+d/e) - f**c (and, for c >= 1, those at c - 1 with the opposite
+    sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N exactly.
     """
     ring = f.ring
     index = PsiQuotient(t.m, t.n).reduce_index

@@ -303,11 +303,33 @@ def _box_legs():
     return legs
 
 
+def _prime_field_legs():
+    """Maps over F_2, F_3 and F_5, where D often splits into factors of
+    different exact period: there N = Dn mod D can hold while D shares a
+    factor with Dn, and only the resultant keeps route 1 sound."""
+    rng = random.Random(2718)
+    maps = [parse_polynomial("x^2+x", PrimeField(2)),
+            parse_polynomial("x^2+1", PrimeField(2))]
+    for p in (3, 5):
+        for _ in range(2):
+            coeffs = [rng.randrange(p), rng.randrange(p), 1]
+            maps.append(Polynomial(PrimeField(p), coeffs))
+    legs = []
+    for f in maps:
+        for m, n, c, d in itertools.product(range(4), range(1, 4), range(4),
+                                            range(1, 6)):
+            top = generalized_dynatomic_degree(2, c, d)
+            if generalized_dynatomic_degree(2, m, n) < top <= 60:
+                legs.append((RelationTuple(m, n, c, d), f, None))
+    return legs
+
+
 class TestQuotientRoutes:
     @pytest.mark.parametrize("legs,routes_seen", [
         (_test_suite_legs, {"N/Dn", "N/Dn or P(g)", "full", "lead"}),
         (_box_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "full"}),
-    ], ids=["suite", "box"])
+        (_prime_field_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "full"}),
+    ], ids=["suite", "box", "prime_fields"])
     def test_agrees_with_full_construction(self, legs, routes_seen):
         routes = collections.Counter()
         for t, f, seed in legs():
