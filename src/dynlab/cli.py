@@ -171,23 +171,26 @@ def _cmd_relation(args) -> int:
     if args.format == "json":
         _emit(_dump_json(payload))
     else:
+        # rendered whole before writing: a cofactor degree past Python's
+        # int-to-str digit limit then fails with nothing on stdout
         cond = cert.conditions
-        _emit(f"tuple (m, n, c, d) = ({t.m}, {t.n}, {t.c}, {t.d})")
-        _emit(f"  cond1 (m > c or n does not divide d): {cond.cond1}")
-        _emit(f"  cond2 (cocore(d) covers the preperiod): {cond.cond2}")
-        _emit(f"  cond3 (x^{t.n} - 1 divides M_{t.d}): {cond.cond3}")
-        _emit(f"  alt   (d > 1, c - 1 >= m, n = 1): {cond.alt}")
-        _emit(f"  admissible: {cond.admissible}")
+        lines = [f"tuple (m, n, c, d) = ({t.m}, {t.n}, {t.c}, {t.d})",
+                 f"  cond1 (m > c or n does not divide d): {cond.cond1}",
+                 f"  cond2 (cocore(d) covers the preperiod): {cond.cond2}",
+                 f"  cond3 (x^{t.n} - 1 divides M_{t.d}): {cond.cond3}",
+                 f"  alt   (d > 1, c - 1 >= m, n = 1): {cond.alt}",
+                 f"  admissible: {cond.admissible}"]
         for ev in cert.evidence:
             seed = "" if ev.seed is None else f" (seed {ev.seed})"
             if ev.divides:
                 detail = f"divides, cofactor degree {ev.cofactor_degree}"
             else:
                 detail = f"remainder of degree {ev.remainder_degree}"
-            _emit(f"  [{ev.ring}] {ev.family}{seed}: {detail}")
+            lines.append(f"  [{ev.ring}] {ev.family}{seed}: {detail}")
         if cert.evidence:
             good = sum(1 for ev in cert.evidence if ev.divides)
-            _emit(f"  evidence: {good}/{len(cert.evidence)} divide")
+            lines.append(f"  evidence: {good}/{len(cert.evidence)} divide")
+        _emit("\n".join(lines))
     if not cert.conditions.admissible:
         return 2
     if cert.evidence and not cert.all_divide:

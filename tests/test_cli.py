@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -246,12 +247,24 @@ class TestErrorHandling:
     def test_quotient_route_answers_past_the_cap(self, capsys):
         # Phi_{0,24} of the quartic legs has degree about 2.8e14; only the
         # (1, 1) divisor is built
-        code = main(["relation", "--m", "1", "--n", "1", "--c", "0", "--d", "24",
-                     "--trials", "3"])
+        code = main(["relation", "--m", "1", "--n", "1", "--c", "0",
+                     "--d", "24", "--trials", "3"])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err == ""
         assert captured.out.endswith("  evidence: 4/4 divide\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit in this Python")
+    def test_unprintable_cofactor_degree_is_one_line_error(self, capsys):
+        # the cofactor degree of (1, 1, 0, 20000) has about 6000 digits
+        code = main(["relation", "--m", "1", "--n", "1", "--c", "0",
+                     "--d", "20000", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_scan_helpers_consistent():

@@ -199,6 +199,13 @@ class TestVerifyRelation:
         # the cap bounds what is built: route 1 builds only Phi_2 here
         ev = verify_relation(RelationTuple(0, 2, 0, 5), F_SQ1, cap=10)
         assert ev.divides and ev.cofactor_degree == 28
+        # (1, 1, 2, 5) is an alt-clause tuple: every factor is 0 mod D, so
+        # route 2 builds Phi_{1,5} (degree 30) rather than Phi_{2,5} (60)
+        ev = verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=30)
+        assert ev.divides and ev.cofactor_degree == 60 - 2
+        with pytest.raises(ResourceLimitError, match=r"degree 30 of the "
+                                                     r"\(1, 5\) dynatomic"):
+            verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=29)
 
     @pytest.mark.parametrize("d", [24, 60, 10**6])
     def test_quotient_route_past_the_cap(self, d):
@@ -209,15 +216,6 @@ class TestVerifyRelation:
         assert ev.cofactor_degree == (generalized_dynatomic_degree(2, 0, d)
                                       - generalized_dynatomic_degree(2, 1, 1))
         assert elapsed < 0.5
-
-    def test_p_of_g_route_cap_names_the_leg_it_builds(self):
-        # (1, 1, 2, 5) is an alt-clause tuple: every factor is 0 mod D, so
-        # route 2 builds Phi_{1,5} (degree 30) rather than Phi_{2,5} (60)
-        ev = verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=30)
-        assert ev.divides and ev.cofactor_degree == 60 - 2
-        with pytest.raises(ResourceLimitError, match=r"degree 30 of the "
-                                                     r"\(1, 5\) dynatomic"):
-            verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=29)
 
     def test_degree_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("DYNLAB_DEGREE_CAP", "40")
@@ -299,7 +297,8 @@ def _box_legs():
         top = generalized_dynatomic_degree(4, c, d)
         if generalized_dynatomic_degree(4, m, n) < top <= 240:
             t = RelationTuple(m, n, c, d)
-            legs += _seeded_legs(t, F_PARAM, 1000 * m + 100 * n + 10 * c + d, 3)
+            seed = 1000 * m + 100 * n + 10 * c + d
+            legs += _seeded_legs(t, F_PARAM, seed, 3)
     return legs
 
 

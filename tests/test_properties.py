@@ -116,7 +116,8 @@ def test_json_round_trip(ring, coeff):
     @given(st.lists(coeff, max_size=12))
     def run(coeffs):
         p = Polynomial(ring, coeffs)
-        back = Polynomial.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+        data = json.loads(json.dumps(p.to_json_dict()))
+        back = Polynomial.from_json_dict(data)
         assert back.ring == ring and back == p
 
     run()
