@@ -225,24 +225,22 @@ class TestVerifyRelation:
         assert verify_relation(RelationTuple(0, 2, 0, 6), F_SQ1) is not None
 
 
-def _full_construction(t, f, family=None, seed=None):
+def _full_construction(t, f, seed):
     """Build Phi_{f,c,d} and divide, as verify_relation did before the
     quotient routes; returns (remainder, evidence)."""
     divisor = generalized_dynatomic(f, t.m, t.n)
     quot, rem = divmod(generalized_dynatomic(f, t.c, t.d) - 1, divisor)
     return rem, DivisibilityEvidence(
-        family=family if family is not None else f.to_text(),
-        ring=f.ring.tag, seed=seed, divides=rem.is_zero,
+        family=f.to_text(), ring=f.ring.tag, seed=seed, divides=rem.is_zero,
         cofactor_degree=quot.degree if rem.is_zero else None,
         remainder_degree=None if rem.is_zero else rem.degree)
 
 
-def _cross_check(t, f, family=None, seed=None):
+def _cross_check(t, f, seed):
     """verify_relation against the full construction, and the quotient
     routes' exact remainder against the full one; returns the route."""
-    rem, expected = _full_construction(t, f, family, seed)
-    assert verify_relation(t, f, family=family, seed=seed,
-                           cap=10**6) == expected, (t, f)
+    rem, expected = _full_construction(t, f, seed)
+    assert verify_relation(t, f, seed=seed, cap=10**6) == expected, (t, f)
     divisor = generalized_dynatomic(f, t.m, t.n)
     if not _unit_lead(divisor):
         return "lead"
@@ -332,7 +330,7 @@ class TestQuotientRoutes:
     def test_agrees_with_full_construction(self, legs, routes_seen):
         routes = collections.Counter()
         for t, f, seed in legs():
-            routes[_cross_check(t, f, seed=seed)] += 1
+            routes[_cross_check(t, f, seed)] += 1
         assert set(routes) == routes_seen, routes
 
 
