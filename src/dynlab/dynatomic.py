@@ -14,7 +14,7 @@ universally divides the shifted (c, d) dynatomic: those checks live in
 ``relation_conditions``; ``verify_relation`` performs the polynomial leg
 for a concrete or parametric f.  It works modulo D = Phi_{f,m,n}, which
 divides f**(m+n) - f**m, so f**k is congruent to f**k' for
-k' = PsiQuotient(m, n).reduce_index(k).  Three routes, chosen by the tuple
+k' = PsiQuotient(m, n).reduce_index(k).  Four routes, chosen by the tuple
 and D alone:
 
 1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences.
@@ -23,7 +23,13 @@ and D alone:
 2. P(g), for c >= 2: Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), and composing
    on the right is a ring homomorphism, so Horner mod D at
    g = f**(c-1) mod D gives the exact remainder.
-3. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
+3. Lifted N/Dn, for c <= 1 and 2 deg D < deg Phi_{f,c,d}: dividing D out
+   of each factor it divides gives Phi_{f,c,d} * Dn' = D**s * N', where
+   s counts those factors in N less those in Dn, and the iterates up to
+   f**(c+d) mod D**2 give N' and Dn' mod D.  If s = 0 and
+   Res(D, Dn') != 0, Phi_{f,c,d} = N' / Dn' mod D, which is computed over
+   a field, and over Q[a] only when N' = Dn' mod D.
+4. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
    smaller than Phi_{f,c,d}, or when D's leading coefficient is not a unit
    (in Q[a], not a nonzero constant), where reduction mod D would leave
    the coefficient ring.
@@ -220,12 +226,13 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
 
     D is always built.  When its leading coefficient is a unit and it is
     smaller than Phi_{f,c,d}, the leg is decided mod D if possible: by
-    N = Dn mod D with Res(D, Dn) != 0, or for c >= 2 by the exact remainder
-    Phi_{f,1,d}(g) mod D (see the module docstring).  Otherwise Phi_{f,c,d}
-    is built and divided.  The cap (5000, or DYNLAB_DEGREE_CAP) bounds the
-    degree actually built: D before anything is built, Phi_{f,1,d} before
-    the P(g) route, Phi_{f,c,d} before the full construction; each refusal
-    is a ResourceLimitError.
+    N = Dn mod D with Res(D, Dn) != 0, for c >= 2 by the exact remainder
+    Phi_{f,1,d}(g) mod D, and for c <= 1 from the iterates mod D**2 (see
+    the module docstring).  Otherwise Phi_{f,c,d} is built and divided.
+    The cap (5000, or DYNLAB_DEGREE_CAP) is checked for D before anything
+    is built, for Phi_{f,1,d} before the P(g) route, and for Phi_{f,c,d}
+    before the lifted route, whose c + d compositions it bounds, and the
+    full construction; each refusal is a ResourceLimitError.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
@@ -234,10 +241,14 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     divisor = generalized_dynatomic(f, t.m, t.n)
     top = generalized_dynatomic_degree(k, t.c, t.d)
     rem = None
-    if divisor.degree < top and _unit_lead(divisor):
+    quotient = divisor.degree < top and _unit_lead(divisor)
+    if quotient:
         rem = _quotient_remainder(t, f, divisor, cap)
     if rem is None:
         _check_cap(k, t.c, t.d, cap)
+        if quotient and 2 * divisor.degree < top:
+            rem = _lifted_remainder(t, f, divisor)
+    if rem is None:
         rem = (generalized_dynatomic(f, t.c, t.d) - 1) % divisor
     return DivisibilityEvidence(
         family=family if family is not None else f.to_text(),
@@ -268,14 +279,12 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     for _ in range(t.m + t.n - 1):
         residues.append(f.compose(residues[-1]) % divisor)
     num = den = Polynomial.one(ring)
-    shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
-    for e, mu in squarefree_divisors(t.d):
-        for pre, sign in shifts:
-            factor = residues[index(pre + t.d // e)] - residues[index(pre)]
-            if mu * sign == 1:
-                num = num * factor % divisor
-            else:
-                den = den * factor % divisor
+    for top, bottom, weight in _factor_indices(t):
+        factor = residues[index(top)] - residues[index(bottom)]
+        if weight == 1:
+            num = num * factor % divisor
+        else:
+            den = den * factor % divisor
     if (num == den and not den.is_zero
             and not ring.is_zero(resultant(divisor, den))):
         return Polynomial.zero(ring)
@@ -287,6 +296,62 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     for coeff in reversed(generalized_dynatomic(f, 1, t.d).coeffs):
         acc = (acc * g + Polynomial.constant(ring, coeff)) % divisor
     return acc - 1
+
+
+def _factor_indices(t: RelationTuple) -> list[tuple[int, int, int]]:
+    """(i, j, weight) for the factors f**i - f**j of Phi_{f,c,d}.
+
+    The factors f**(c+d/e) - f**c have weight mu(e), and for c >= 1 those
+    at c - 1 the opposite one; weight 1 goes to N, weight -1 to Dn.
+    """
+    shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
+    return [(pre + t.d // e, pre, mu * sign)
+            for e, mu in squarefree_divisors(t.d) for pre, sign in shifts]
+
+
+def _lifted_remainder(t: RelationTuple, f: Polynomial,
+                      divisor: Polynomial) -> Polynomial | None:
+    """(Phi_{f,c,d} - 1) mod D for c <= 1 and D = Phi_{f,m,n}, or None.
+
+    Route 3 of the module docstring.  A factor F with F = 0 mod D enters
+    N' or Dn' as F / D mod D, read off F mod D**2.
+    """
+    ring = f.ring
+    square = divisor * divisor
+    lifts = [Polynomial.x(ring) % square]
+    for _ in range(t.c + t.d):
+        lifts.append(f.compose(lifts[-1]) % square)
+    num = den = Polynomial.one(ring)
+    order = 0
+    for top, bottom, weight in _factor_indices(t):
+        lifted = lifts[top] - lifts[bottom]
+        factor = lifted % divisor
+        if factor.is_zero:
+            factor = lifted.div_exact(divisor)
+            order += weight
+        if weight == 1:
+            num = num * factor % divisor
+        else:
+            den = den * factor % divisor
+    if order or den.is_zero or ring.is_zero(resultant(divisor, den)):
+        return None
+    if num == den:
+        return Polynomial.zero(ring)
+    if ring is QA:
+        return None
+    return (num * _inverse_mod(den, divisor) - 1) % divisor
+
+
+def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial:
+    """u**-1 mod modulus over a field, for u prime to modulus."""
+    ring = u.ring
+    r0, r1 = modulus, u % modulus
+    s0, s1 = Polynomial.zero(ring), Polynomial.one(ring)
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    return s0.scale(ring.exact_div(ring.one, r0.lc)) % modulus
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
-                              _quotient_remainder, _unit_lead,
+                              _lifted_remainder, _quotient_remainder,
+                              _unit_lead,
                               build_relation_certificate,
                               dynatomic_degree, dynatomic_poly,
                               fixed_point_identity, generalized_dynatomic,
@@ -217,6 +218,17 @@ class TestVerifyRelation:
                                       - generalized_dynatomic_degree(2, 1, 1))
         assert elapsed < 0.5
 
+    def test_lifted_route_on_vanishing_factors(self):
+        # The factors of (0, 2, 0, 6) with 2 | d/e are 0 mod D = Phi_2, so
+        # N = Dn mod D decides nothing.  Built in full (degree 4020, about
+        # 6 s), Phi_{0,6} - 1 leaves a remainder of degree 10 mod D
+        f = Polynomial(QQ, [6, 3, 0, 6, 1])
+        start = time.perf_counter()
+        ev = verify_relation(RelationTuple(0, 2, 0, 6), f)
+        elapsed = time.perf_counter() - start
+        assert not ev.divides and ev.remainder_degree == 10
+        assert elapsed < 0.5
+
     def test_degree_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("DYNLAB_DEGREE_CAP", "40")
         with pytest.raises(ResourceLimitError):
@@ -246,7 +258,11 @@ def _cross_check(t, f, seed):
         return "lead"
     fast = _quotient_remainder(t, f, divisor, 10**6)
     if fast is None:
-        return "full"
+        fast = _lifted_remainder(t, f, divisor)
+        if fast is None:
+            return "full"
+        assert fast == rem, (t, f)
+        return "lifted"
     assert fast == rem, (t, f)
     if not fast.is_zero:
         return "P(g)"
@@ -323,9 +339,11 @@ def _prime_field_legs():
 
 class TestQuotientRoutes:
     @pytest.mark.parametrize("legs,routes_seen", [
-        (_test_suite_legs, {"N/Dn", "N/Dn or P(g)", "full", "lead"}),
-        (_box_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "full"}),
-        (_prime_field_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "full"}),
+        (_test_suite_legs, {"N/Dn", "N/Dn or P(g)", "lifted", "full",
+                            "lead"}),
+        (_box_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "lifted", "full"}),
+        (_prime_field_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "lifted",
+                             "full"}),
     ], ids=["suite", "box", "prime_fields"])
     def test_agrees_with_full_construction(self, legs, routes_seen):
         routes = collections.Counter()
