@@ -121,7 +121,7 @@ def _cmd_cyclo_factors(args) -> int:
 # -- dynatomic --------------------------------------------------------------
 
 def _cmd_dynatomic(args) -> int:
-    ring = PrimeField(args.p) if args.p else None
+    ring = PrimeField(args.p) if args.p is not None else None
     f = parse_polynomial(args.f, ring)
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:

@@ -14,22 +14,23 @@ universally divides the shifted (c, d) dynatomic: those checks live in
 ``relation_conditions``; ``verify_relation`` performs the polynomial leg
 for a concrete or parametric f.  It works modulo D = Phi_{f,m,n}, which
 divides f**(m+n) - f**m, so f**k is congruent to f**k' for
-k' = PsiQuotient(m, n).reduce_index(k).  Four routes, chosen by the tuple
+k' = PsiQuotient(m, n).reduce_index(k).  Three routes, chosen by the tuple
 and D alone:
 
 1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences.
-   If Res(D, Dn) != 0, D is prime to Dn (over Q(a) for Q[a]), so
-   D | Phi_{f,c,d} - 1 exactly when D | (Phi_{f,c,d} - 1) * Dn = N - Dn.
+   Dividing D out of each factor it divides gives Phi_{f,c,d} * Dn' =
+   D**s * N', where s counts those factors in N less those in Dn.  For
+   c <= 1 and 2 deg D < deg Phi_{f,c,d} such a factor F enters N' or Dn'
+   as F / D mod D, read off the iterates up to f**(c+d) mod D**2;
+   elsewhere it stays 0 mod D, so s != 0 or Dn' = 0 and the leg is left
+   open.  If s = 0 and Res(D, Dn') != 0, D is prime to Dn' (over Q(a) for
+   Q[a]), so D | Phi_{f,c,d} - 1 exactly when N' = Dn' mod D, and
+   Phi_{f,c,d} = N' / Dn' mod D.  That quotient is computed only for
+   c <= 1 and 2 deg D < deg Phi_{f,c,d}, and only over a field.
 2. P(g), for c >= 2: Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), and composing
    on the right is a ring homomorphism, so Horner mod D at
    g = f**(c-1) mod D gives the exact remainder.
-3. Lifted N/Dn, for c <= 1 and 2 deg D < deg Phi_{f,c,d}: dividing D out
-   of each factor it divides gives Phi_{f,c,d} * Dn' = D**s * N', where
-   s counts those factors in N less those in Dn, and the iterates up to
-   f**(c+d) mod D**2 give N' and Dn' mod D.  If s = 0 and
-   Res(D, Dn') != 0, Phi_{f,c,d} = N' / Dn' mod D, which is computed over
-   a field, and over Q[a] only when N' = Dn' mod D.
-4. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
+3. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
    smaller than Phi_{f,c,d}, or when D's leading coefficient is not a unit
    (in Q[a], not a nonzero constant), where reduction mod D would leave
    the coefficient ring.
@@ -225,14 +226,16 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     """Exact test: does D = Phi_{f,m,n} divide Phi_{f,c,d} - 1?
 
     D is always built.  When its leading coefficient is a unit and it is
-    smaller than Phi_{f,c,d}, the leg is decided mod D if possible: by
-    N = Dn mod D with Res(D, Dn) != 0, for c >= 2 by the exact remainder
-    Phi_{f,1,d}(g) mod D, and for c <= 1 from the iterates mod D**2 (see
-    the module docstring).  Otherwise Phi_{f,c,d} is built and divided.
-    The cap (5000, or DYNLAB_DEGREE_CAP) is checked for D before anything
-    is built, for Phi_{f,1,d} before the P(g) route, and for Phi_{f,c,d}
-    before the lifted route, whose c + d compositions it bounds, and the
-    full construction; each refusal is a ResourceLimitError.
+    smaller than Phi_{f,c,d}, one pass over the iterates mod D decides the
+    leg if it can (see the module docstring): by N' = Dn' mod D, for
+    c <= 1 by N' / Dn' mod D, and for c >= 2 by the exact remainder
+    Phi_{f,1,d}(g) mod D.  Otherwise Phi_{f,c,d} is built and divided.
+    The cap (5000, or DYNLAB_DEGREE_CAP) bounds what is built.  It is
+    checked for D before anything is built; for Phi_{f,c,d} before the
+    iterates mod D**2, whose c + d compositions it bounds, and before the
+    full construction; and for Phi_{f,1,d} before the P(g) route.  Each
+    refusal is a ResourceLimitError.  A c <= 1 leg with no factor 0 mod D
+    builds none of these, so it may answer past the cap.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
@@ -241,14 +244,10 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     divisor = generalized_dynatomic(f, t.m, t.n)
     top = generalized_dynatomic_degree(k, t.c, t.d)
     rem = None
-    quotient = divisor.degree < top and _unit_lead(divisor)
-    if quotient:
+    if divisor.degree < top and _unit_lead(divisor):
         rem = _quotient_remainder(t, f, divisor, cap)
     if rem is None:
         _check_cap(k, t.c, t.d, cap)
-        if quotient and 2 * divisor.degree < top:
-            rem = _lifted_remainder(t, f, divisor)
-    if rem is None:
         rem = (generalized_dynatomic(f, t.c, t.d) - 1) % divisor
     return DivisibilityEvidence(
         family=family if family is not None else f.to_text(),
@@ -265,6 +264,15 @@ def _unit_lead(divisor: Polynomial) -> bool:
     return divisor.ring is not QA or len(divisor.lc) == 1
 
 
+def _residues(f: Polynomial, modulus: Polynomial,
+              count: int) -> list[Polynomial]:
+    """x, f(x), ..., f**count(x), each reduced mod modulus."""
+    table = [Polynomial.x(f.ring) % modulus]
+    for _ in range(count):
+        table.append(f.compose(table[-1]) % modulus)
+    return table
+
+
 def _quotient_remainder(t: RelationTuple, f: Polynomial,
                         divisor: Polynomial, cap: int) -> Polynomial | None:
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
@@ -272,22 +280,41 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     Routes 1 and 2 of the module docstring.  N and Dn collect the factors
     f**(c+d/e) - f**c (and, for c >= 1, those at c - 1 with the opposite
     sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N exactly.
+    Only the factors that are 0 mod D are lifted, and the iterates mod
+    D**2 are built only when there is one.
     """
     ring = f.ring
     index = PsiQuotient(t.m, t.n).reduce_index
-    residues = [Polynomial.x(ring) % divisor]
-    for _ in range(t.m + t.n - 1):
-        residues.append(f.compose(residues[-1]) % divisor)
+    residues = _residues(f, divisor, t.m + t.n - 1)
+    shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
+    factors = [(pre + t.d // e, pre, mu * sign)
+               for e, mu in squarefree_divisors(t.d) for pre, sign in shifts]
+    reduced = [residues[index(i)] - residues[index(j)] for i, j, _ in factors]
+    small = (t.c < 2 and 2 * divisor.degree
+             < generalized_dynatomic_degree(f.degree, t.c, t.d))
+    lifts = None
+    if small and any(factor.is_zero for factor in reduced):
+        _check_cap(f.degree, t.c, t.d, cap)
+        lifts = _residues(f, divisor * divisor, t.c + t.d)
     num = den = Polynomial.one(ring)
-    for top, bottom, weight in _factor_indices(t):
-        factor = residues[index(top)] - residues[index(bottom)]
+    order = 0
+    for (i, j, weight), factor in zip(factors, reduced):
+        if factor.is_zero:
+            order += weight
+            if lifts is not None:
+                factor = (lifts[i] - lifts[j]).div_exact(divisor)
         if weight == 1:
             num = num * factor % divisor
         else:
             den = den * factor % divisor
-    if (num == den and not den.is_zero
+    # the inverse is taken only under the same degree condition as the
+    # lift: without it, inverting Dn' can cost more than building in full
+    invert = small and ring is not QA
+    if (not order and not den.is_zero and (num == den or invert)
             and not ring.is_zero(resultant(divisor, den))):
-        return Polynomial.zero(ring)
+        if num == den:
+            return Polynomial.zero(ring)
+        return (num * _inverse_mod(den, divisor) - 1) % divisor
     if t.c < 2:
         return None
     _check_cap(f.degree, 1, t.d, cap)
@@ -296,50 +323,6 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     for coeff in reversed(generalized_dynatomic(f, 1, t.d).coeffs):
         acc = (acc * g + Polynomial.constant(ring, coeff)) % divisor
     return acc - 1
-
-
-def _factor_indices(t: RelationTuple) -> list[tuple[int, int, int]]:
-    """(i, j, weight) for the factors f**i - f**j of Phi_{f,c,d}.
-
-    The factors f**(c+d/e) - f**c have weight mu(e), and for c >= 1 those
-    at c - 1 the opposite one; weight 1 goes to N, weight -1 to Dn.
-    """
-    shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
-    return [(pre + t.d // e, pre, mu * sign)
-            for e, mu in squarefree_divisors(t.d) for pre, sign in shifts]
-
-
-def _lifted_remainder(t: RelationTuple, f: Polynomial,
-                      divisor: Polynomial) -> Polynomial | None:
-    """(Phi_{f,c,d} - 1) mod D for c <= 1 and D = Phi_{f,m,n}, or None.
-
-    Route 3 of the module docstring.  A factor F with F = 0 mod D enters
-    N' or Dn' as F / D mod D, read off F mod D**2.
-    """
-    ring = f.ring
-    square = divisor * divisor
-    lifts = [Polynomial.x(ring) % square]
-    for _ in range(t.c + t.d):
-        lifts.append(f.compose(lifts[-1]) % square)
-    num = den = Polynomial.one(ring)
-    order = 0
-    for top, bottom, weight in _factor_indices(t):
-        lifted = lifts[top] - lifts[bottom]
-        factor = lifted % divisor
-        if factor.is_zero:
-            factor = lifted.div_exact(divisor)
-            order += weight
-        if weight == 1:
-            num = num * factor % divisor
-        else:
-            den = den * factor % divisor
-    if order or den.is_zero or ring.is_zero(resultant(divisor, den)):
-        return None
-    if num == den:
-        return Polynomial.zero(ring)
-    if ring is QA:
-        return None
-    return (num * _inverse_mod(den, divisor) - 1) % divisor
 
 
 def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial:
@@ -396,6 +379,8 @@ def build_relation_certificate(t: RelationTuple, *,
     random leg draws monic integer polynomials of degree 2..4 from the
     recorded seed so certificates are reproducible.
     """
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials}")
     conditions = relation_conditions(t)
     evidence: list[DivisibilityEvidence] = []
     if conditions.admissible or force:

@@ -818,22 +818,24 @@ def _q_clear_content(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     return ints, Fraction(g, den)
 
 
-def _int_content(cs: Sequence[int]) -> int:
-    return math.gcd(*cs) if cs else 0
+def _int_primitive(cs: Sequence[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g else list(cs)
 
 
-def _int_gcd_primitive(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of primitive integer polynomials via primitive PRS."""
+def _prs_gcd(a: Sequence, b: Sequence, ring: CoefficientRing,
+             primitive) -> list:
+    """Primitive gcd of two coefficient lists over ring by primitive PRS.
+
+    primitive maps a coefficient list to its canonical primitive part and
+    [] to []; every remainder is replaced by it before the next step.
+    """
+    a, b = primitive(a), primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _prs_prem(a, b, _ZZ)
-        if r:
-            g = _int_content(r)
-            r = [c // g for c in r]
-        a, b = b, r
-    g = _int_content(a)
-    return [c // g for c in a] if g else a
+        a, b = b, primitive(_prs_prem(a, b, ring))
+    return a
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -848,8 +850,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         raise DomainError("gcd of polynomials over different rings")
     ring = p.ring
     if ring is QA:
-        content = poly_gcd(_qa_content(p), _qa_content(q))
-        return Polynomial.constant(QA, content.coeffs) * _qa_poly_gcd(p, q)
+        content = poly_gcd(_qa_content(p.coeffs), _qa_content(q.coeffs))
+        g = _prs_gcd(p.coeffs, q.coeffs, QA, _qa_primitive)
+        return Polynomial.constant(QA, content.coeffs) * Polynomial(QA, g)
     if p.is_zero:
         return q.monic()
     if q.is_zero:
@@ -857,8 +860,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if ring is QQ:
         a, _ = _q_clear_content(p.coeffs)
         b, _ = _q_clear_content(q.coeffs)
-        g = _int_gcd_primitive(a, b)
-        return Polynomial(QQ, g).monic()
+        return Polynomial(QQ, _prs_gcd(a, b, _ZZ, _int_primitive)).monic()
     if isinstance(ring, PrimeField):
         a, b = p, q
         while not b.is_zero:
@@ -867,43 +869,28 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     raise DomainError(f"gcd unsupported over {ring!r}")  # pragma: no cover
 
 
-def _qa_content(poly: Polynomial) -> Polynomial:
+def _qa_content(coeffs: Sequence[tuple]) -> Polynomial:
     """Content of a Q[a][x] polynomial: gcd in Q[a] of its coefficients."""
     content = Polynomial.zero(QQ)
-    for c in poly.coeffs:
+    for c in coeffs:
         content = poly_gcd(content, Polynomial(QQ, c))
         if content.degree == 0:
             break
     return content
 
 
-def _qa_normalize_primitive(poly: Polynomial) -> Polynomial:
+def _qa_primitive(coeffs: Sequence[tuple]) -> list[tuple]:
     """Canonical primitive form: integer-primitive, positive leading rational."""
-    if poly.is_zero:
-        return poly
-    content = _qa_content(poly)
-    cs = [QA.exact_div(c, content.coeffs) for c in poly.coeffs]
+    if not coeffs:
+        return []
+    content = _qa_content(coeffs)
+    cs = [QA.exact_div(c, content.coeffs) for c in coeffs]
     flat = [f for c in cs for f in c]
     ints, den = _clear_denominators(flat)
     scale = Fraction(den, math.gcd(*ints))
     if cs[-1][-1] < 0:
         scale = -scale
-    return Polynomial(QA, [tuple(f * scale for f in c) for c in cs])
-
-
-def _qa_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    a = _qa_normalize_primitive(p)
-    b = _qa_normalize_primitive(q)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        r = _prs_prem(a.coeffs, b.coeffs, QA)
-        if r:
-            r_poly = _qa_normalize_primitive(_raw(QA, tuple(r)))
-        else:
-            r_poly = Polynomial.zero(QA)
-        a, b = b, r_poly
-    return _qa_normalize_primitive(a)
+    return [tuple(f * scale for f in c) for c in cs]
 
 
 _SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)

@@ -236,6 +236,21 @@ class TestErrorHandling:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_prime_zero_refused(self, capsys):
+        code = main(["dynatomic", "--f", "x^2+1", "--d", "2", "--p", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: 0 is not prime\n"
+
+    def test_negative_trials_refused(self, capsys):
+        code = main(["relation", "--m", "1", "--n", "1", "--c", "0", "--d", "2",
+                     "--trials", "-3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: trials must be >= 0, got -3\n"
+
     def test_degree_cap_covers_divisor_leg(self, capsys):
         code = main(["relation", "--m", "6", "--n", "3", "--c", "0", "--d", "1",
                      "--force", "--degree-max", "100"])

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from dynlab import dynatomic
 from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
-                              _lifted_remainder, _quotient_remainder,
-                              _unit_lead,
+                              _quotient_remainder, _unit_lead,
                               build_relation_certificate,
                               dynatomic_degree, dynatomic_poly,
                               fixed_point_identity, generalized_dynatomic,
@@ -19,7 +19,7 @@ from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
                               verify_relation)
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import necklace_poly
-from dynlab.numtheory import divisors
+from dynlab.numtheory import divisors, squarefree_divisors
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, is_squarefree,
                              parse_polynomial, poly_gcd, resultant)
 
@@ -189,8 +189,8 @@ class TestVerifyRelation:
             assert ev.divides, value
 
     def test_degree_guard(self):
-        # route 1 is inconclusive on these (N = Dn = 0 mod D) and c = 0, so
-        # the full construction runs and its (c, d) leg is over the cap
+        # c = 0 and some factors of these are 0 mod D, so lifting them
+        # takes the iterates mod D**2, and the (c, d) leg is over the cap
         with pytest.raises(ResourceLimitError, match=r"\(0, 13\) dynatomic"):
             verify_relation(RelationTuple(0, 1, 0, 13), F_SQ1)
         with pytest.raises(ResourceLimitError, match=r"\(0, 6\) dynatomic"):
@@ -207,6 +207,12 @@ class TestVerifyRelation:
         with pytest.raises(ResourceLimitError, match=r"degree 30 of the "
                                                      r"\(1, 5\) dynatomic"):
             verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=29)
+        # no factor of (2, 1, 0, 7) is 0 mod D = Phi_{2,1}, so N / Dn mod D
+        # decides the leg and Phi_{0,7} (degree 126) is never built
+        t = RelationTuple(2, 1, 0, 7)
+        ev = verify_relation(t, F_SQ1, cap=125)
+        assert not ev.divides and ev.remainder_degree == 2
+        assert ev == _full_construction(t, F_SQ1, None)[1]
 
     @pytest.mark.parametrize("d", [24, 60, 10**6])
     def test_quotient_route_past_the_cap(self, d):
@@ -248,25 +254,42 @@ def _full_construction(t, f, seed):
         remainder_degree=None if rem.is_zero else rem.degree)
 
 
-def _cross_check(t, f, seed):
-    """verify_relation against the full construction, and the quotient
-    routes' exact remainder against the full one; returns the route."""
+def _vanishing_factor(t, f, divisor):
+    """Is some factor f**(p+d/e) - f**p of Phi_{f,c,d} 0 mod D?  Reads the
+    iterates mod D up to f**(c+d) directly, without the period index map."""
+    table = [Polynomial.x(f.ring) % divisor]
+    for _ in range(t.c + t.d):
+        table.append(f.compose(table[-1]) % divisor)
+    return any((table[p + t.d // e] - table[p]).is_zero
+               for e, _ in squarefree_divisors(t.d)
+               for p in {t.c, max(t.c - 1, 0)})
+
+
+def _cross_check(t, f, seed, tables):
+    """verify_relation against the full construction, and the N/Dn pass's
+    exact remainder against the full one; returns the route.  tables
+    records the (modulus, count) of every residue table the pass builds."""
     rem, expected = _full_construction(t, f, seed)
     assert verify_relation(t, f, seed=seed, cap=10**6) == expected, (t, f)
     divisor = generalized_dynatomic(f, t.m, t.n)
     if not _unit_lead(divisor):
         return "lead"
+    tables.clear()
     fast = _quotient_remainder(t, f, divisor, 10**6)
+    # one table mod D, and the one mod D**2 only when a factor is 0 mod D
+    assert tables[0] == (divisor, t.m + t.n - 1), (t, f)
+    top = generalized_dynatomic_degree(f.degree, t.c, t.d)
+    lifted = (t.c < 2 and 2 * divisor.degree < top
+              and _vanishing_factor(t, f, divisor))
+    assert tables[1:] == ([(divisor * divisor, t.c + t.d)] if lifted else []), \
+        (t, f)
     if fast is None:
-        fast = _lifted_remainder(t, f, divisor)
-        if fast is None:
-            return "full"
-        assert fast == rem, (t, f)
-        return "lifted"
+        return "full"
     assert fast == rem, (t, f)
-    if not fast.is_zero:
-        return "P(g)"
-    return "N/Dn" if t.c < 2 else "N/Dn or P(g)"
+    if t.c >= 2:
+        return "P(g)" if not fast.is_zero else "N/Dn or P(g)"
+    route = "N/Dn" if fast.is_zero else "inverse"
+    return route + " lifted" if lifted else route
 
 
 def _seeded_legs(t, family, seed, trials):
@@ -339,16 +362,26 @@ def _prime_field_legs():
 
 class TestQuotientRoutes:
     @pytest.mark.parametrize("legs,routes_seen", [
-        (_test_suite_legs, {"N/Dn", "N/Dn or P(g)", "lifted", "full",
-                            "lead"}),
-        (_box_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "lifted", "full"}),
-        (_prime_field_legs, {"N/Dn", "N/Dn or P(g)", "P(g)", "lifted",
-                             "full"}),
+        (_test_suite_legs, {"N/Dn", "N/Dn lifted", "N/Dn or P(g)",
+                            "inverse lifted", "full", "lead"}),
+        (_box_legs, {"N/Dn", "N/Dn lifted", "N/Dn or P(g)", "inverse",
+                     "inverse lifted", "P(g)", "full"}),
+        (_prime_field_legs, {"N/Dn", "N/Dn lifted", "N/Dn or P(g)",
+                             "inverse", "inverse lifted", "P(g)", "full"}),
     ], ids=["suite", "box", "prime_fields"])
-    def test_agrees_with_full_construction(self, legs, routes_seen):
+    def test_agrees_with_full_construction(self, legs, routes_seen,
+                                           monkeypatch):
+        tables = []
+        build = dynatomic._residues
+
+        def spy(f, modulus, count):
+            tables.append((modulus, count))
+            return build(f, modulus, count)
+
+        monkeypatch.setattr(dynatomic, "_residues", spy)
         routes = collections.Counter()
         for t, f, seed in legs():
-            routes[_cross_check(t, f, seed)] += 1
+            routes[_cross_check(t, f, seed, tables)] += 1
         assert set(routes) == routes_seen, routes
 
 
