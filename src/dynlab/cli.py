@@ -152,6 +152,8 @@ def _parse_specialize(text: str) -> Fraction:
 
 
 def _cmd_relation(args) -> int:
+    if args.degree_max is not None and args.degree_max < 0:
+        raise DomainError(f"--degree-max must be >= 0, got {args.degree_max}")
     t = RelationTuple(m=args.m, n=args.n, c=args.c, d=args.d)
     family = parse_polynomial(args.family)
     label = args.family

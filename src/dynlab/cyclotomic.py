@@ -24,7 +24,6 @@ exact division, so the filter never changes an answer.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,38 +32,27 @@ from .errors import DomainError
 from .numtheory import core_and_cocore, factorize, is_prime
 from .polycore import QQ, Polynomial, _clear_denominators
 
-_cache_lock = threading.Lock()
-_cyclo_cache: dict[int, Polynomial] = {}
-
 _totient_sieve: list[int] = [0, 1]
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> Polynomial:
     """The monic minimal polynomial over Q of a primitive nth root of unity.
 
     Built from Phi_n(x) = Phi_rad(n)(x**(n/rad n)) and, for squarefree n
     with largest prime p = n/m, Phi_n(x) = Phi_m(x**p) / Phi_m(x) (one exact
-    division), and memoized (the cache is lock-protected; readers never
-    observe partially built entries).
+    division), and memoized.
     """
     if n < 1:
         raise DomainError("cyclotomic index must be >= 1")
-    with _cache_lock:
-        cached = _cyclo_cache.get(n)
-    if cached is not None:
-        return cached
     rad, cocore = core_and_cocore(n)
     if n == 1:
-        result = Polynomial(QQ, (-1, 1))
-    elif cocore > 1:
-        result = _at_power(cyclotomic_poly(rad), cocore)
-    else:
-        p = factorize(n).primes[-1]
-        base = cyclotomic_poly(n // p)
-        result = _at_power(base, p).div_exact(base)
-    with _cache_lock:
-        _cyclo_cache[n] = result
-    return result
+        return Polynomial(QQ, (-1, 1))
+    if cocore > 1:
+        return _at_power(cyclotomic_poly(rad), cocore)
+    p = factorize(n).primes[-1]
+    base = cyclotomic_poly(n // p)
+    return _at_power(base, p).div_exact(base)
 
 
 def _at_power(poly: Polynomial, e: int) -> Polynomial:
@@ -87,19 +75,21 @@ def xn1_divides(p: Polynomial, n: int) -> bool:
 
 
 def _totients_up_to(limit: int) -> list[int]:
-    """Grow-and-cache totient sieve; returns the sieve array (index = k)."""
+    """Grow-and-cache totient sieve; returns the sieve array (index = k).
+
+    Callers that race may each build a sieve; any of them is a valid one.
+    """
     global _totient_sieve
-    with _cache_lock:
-        if len(_totient_sieve) > limit:
-            return _totient_sieve
-        size = max(limit + 1, 2 * len(_totient_sieve))
-        sieve = list(range(size))
-        for i in range(2, size):
-            if sieve[i] == i:  # i prime
-                for j in range(i, size, i):
-                    sieve[j] -= sieve[j] // i
-        _totient_sieve = sieve
-        return sieve
+    if len(_totient_sieve) > limit:
+        return _totient_sieve
+    size = max(limit + 1, 2 * len(_totient_sieve))
+    sieve = list(range(size))
+    for i in range(2, size):
+        if sieve[i] == i:  # i prime
+            for j in range(i, size, i):
+                sieve[j] -= sieve[j] // i
+    _totient_sieve = sieve
+    return sieve
 
 
 def _candidate_cap(max_phi: int) -> int:

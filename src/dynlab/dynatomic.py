@@ -59,9 +59,12 @@ def degree_cap() -> int:
     if value is None:
         return DEFAULT_DEGREE_CAP
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise DomainError(f"{DEGREE_CAP_ENV} must be an integer") from None
+    if cap < 0:
+        raise DomainError(f"{DEGREE_CAP_ENV} must be >= 0, got {cap}")
+    return cap
 
 
 def dynatomic_degree(k: int, d: int) -> int:

@@ -30,7 +30,9 @@ are cleared to integers and flattened, x-degree i and a-degree j going to
 slot ``i*width + j``, so that one integer product gives the whole result.
 Division over F_p has its own integer loop, ``_divmod_fp``, with one
 inverse of the leading coefficient; over Q a monic integer divisor stays in
-Z, and everything else runs the generic ring loop.
+Z, and everything else runs the generic ring loop.  The pseudo-remainders
+of the remainder sequences run on that ring loop too, and the private
+integer ring is Q's arithmetic on ints with a checked exact division.
 
 All arithmetic is exact; floating point appears nowhere.  Exact division
 failures carry the offending remainder because a nonzero remainder is
@@ -144,30 +146,18 @@ class Rationals(CoefficientRing):
         return "QQ"
 
 
-class _Integers(CoefficientRing):
+class _Integers(Rationals):
     """Z on plain ints: the Q resultant and gcd clear denominators into it.
 
-    Arithmetic only; no polynomial is ever built over it.
+    Q's add, sub, mul, neg and is_zero serve ints unchanged; only the
+    checked division and the power differ.  Arithmetic only; no polynomial
+    is ever built over it.
     """
 
+    is_field = False
     tag = "Z"
     zero = 0
     one = 1
-
-    def add(self, u, v):
-        return u + v
-
-    def sub(self, u, v):
-        return u - v
-
-    def mul(self, u, v):
-        return u * v
-
-    def neg(self, u):
-        return -u
-
-    def is_zero(self, u) -> bool:
-        return not u
 
     def exact_div(self, u, v):
         q, r = divmod(u, v)
@@ -281,10 +271,7 @@ class ParamRing(CoefficientRing):
         return self.add(u, self.neg(v))
 
     def mul(self, u, v):
-        if len(u) == 1 or len(v) == 1:
-            c, rest = (u[0], v) if len(u) == 1 else (v[0], u)
-            return tuple([c * r if r else r for r in rest])
-        return _mul_coeffs_q(u, v) if u and v else ()
+        return _mul_coeffs(QQ, u, v)
 
     def neg(self, u):
         return tuple(-c for c in u)
@@ -893,65 +880,36 @@ def _qa_primitive(coeffs: Sequence[tuple]) -> list[tuple]:
     return [tuple(f * scale for f in c) for c in cs]
 
 
-_SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
-
-
 def is_squarefree(p: Polynomial) -> bool:
-    """True when p has no repeated factor.
+    """True when p has no repeated factor, that is when gcd(p, p') = 1.
 
     Requires field coefficients.  In characteristic p a vanishing derivative
     of a nonconstant polynomial reports False (the polynomial is inseparable).
-    Over Q a modular gcd certificate decides the common squarefree case
-    quickly; the exact primitive-PRS gcd settles anything inconclusive.
     """
     if not p.ring.is_field:
         raise DomainError("is_squarefree() requires field coefficients")
     if p.is_zero:
         return False
-    if p.degree <= 1:
-        return True
     dp = p.derivative()
-    if dp.is_zero:
+    if p.degree > 0 and dp.is_zero:
         return False
-    if isinstance(p.ring, PrimeField):
-        return poly_gcd(p, dp).degree == 0
-    ints, _ = _q_clear_content(p.coeffs)
-    dints = [i * c for i, c in enumerate(ints) if i > 0]
-    for prime in _SQUAREFREE_PRIMES:
-        if ints[-1] % prime == 0 or dints[-1] % prime == 0:
-            continue
-        fp = PrimeField(prime)
-        a = Polynomial(fp, [c % prime for c in ints])
-        b = Polynomial(fp, [c % prime for c in dints])
-        if poly_gcd(a, b).degree == 0:
-            return True
     return poly_gcd(p, dp).degree == 0
 
 
 # ---------------------------------------------------------------------------
 # resultants via a fraction-free subresultant remainder sequence
 
-def _prs_prem(a: Sequence, b: Sequence, ring: CoefficientRing) -> list:
-    """Pseudo-remainder lc(b)^(da-db+1) * a mod b over an integral domain."""
-    da, db = len(a) - 1, len(b) - 1
-    lcb = b[-1]
-    rem = list(a)
-    n = da - db + 1
-    while len(rem) - 1 >= db:
-        lcr = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [ring.mul(lcb, c) for c in rem[:-1]]
-        for i in range(db):
-            rem[shift + i] = ring.sub(rem[shift + i], ring.mul(lcr, b[i]))
-        while rem and ring.is_zero(rem[-1]):
-            rem.pop()
-        n -= 1
-        if not rem:
-            break
-    if n > 0 and rem:
-        f = ring.pow(lcb, n)
-        rem = [ring.mul(f, c) for c in rem]
-    return rem
+def _prs_prem(a: Sequence, b: Sequence, ring: CoefficientRing) -> tuple:
+    """Pseudo-remainder of a by b: lc(b)^(da-db+1) * a mod b, over an
+    integral domain, on the ring division loop.
+
+    Pseudo-division puts the quotient of the scaled a in the ring.  The
+    quotient over the fraction field is unique, so each step's
+    leading-coefficient division yields one of its coefficients and is
+    exact in the ring.
+    """
+    scale = ring.pow(b[-1], len(a) - len(b) + 1)
+    return _divmod_generic(ring, [ring.mul(scale, c) for c in a], b)[1]
 
 
 def _prs_resultant(a: list, b: list, ring: CoefficientRing):

@@ -251,6 +251,23 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err == "error: trials must be >= 0, got -3\n"
 
+    def test_negative_degree_max_refused(self, capsys):
+        code = main(["relation", "--m", "1", "--n", "1", "--c", "0", "--d", "2",
+                     "--trials", "0", "--degree-max", "-3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --degree-max must be >= 0, got -3\n"
+
+    def test_negative_degree_cap_env_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("DYNLAB_DEGREE_CAP", "-3")
+        code = main(["relation", "--m", "1", "--n", "1", "--c", "0", "--d", "2",
+                     "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: DYNLAB_DEGREE_CAP must be >= 0, got -3\n"
+
     def test_degree_cap_covers_divisor_leg(self, capsys):
         code = main(["relation", "--m", "6", "--n", "3", "--c", "0", "--d", "1",
                      "--force", "--degree-max", "100"])

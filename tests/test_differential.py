@@ -1,5 +1,6 @@
 """Differential tests against sympy on seeded inputs: the ring protocol,
-``resultant`` and ``poly_gcd`` over Q, F_p and Q[a], ``factorize``/
+``resultant`` and ``poly_gcd`` over Q, F_p and Q[a], ``is_squarefree``
+over Q and F_p, ``factorize``/
 ``euler_phi``/``is_prime`` against ``factorint``/``totient``/``isprime``, and
 ``cyclotomic_poly``.
 
@@ -16,7 +17,7 @@ from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import ExactDivisionError
 from dynlab.numtheory import INPUT_BIT_CAP, euler_phi, factorize, is_prime
 from dynlab.polycore import (QA, QQ, CoefficientRing, Polynomial,
-                             PrimeField, poly_gcd, resultant)
+                             PrimeField, is_squarefree, poly_gcd, resultant)
 
 sympy = pytest.importorskip("sympy")
 x, a = sympy.symbols("x a")
@@ -191,6 +192,48 @@ def test_qa_resultant_and_gcd():
         sym_gcd = sympy.gcd(poly_expr(f), poly_expr(g))
         ratio = sympy.cancel(poly_expr(poly_gcd(f, g)) / sym_gcd)
         assert ratio != 0 and not ratio.free_symbols
+
+
+def sympy_is_squarefree(f, **opts):
+    """sympy's verdict: Poly.is_sqf over Q, the square-free list over GF(p).
+
+    sympy 1.14's Poly.is_sqf says True for an inseparable polynomial over
+    GF(p): Poly(x**3 + 1, x, modulus=3).is_sqf is True, while its sqf_list
+    gives (x + 1)**3.
+    """
+    poly = sympy.Poly(poly_expr(f), x, **opts)
+    if not opts:
+        return poly.is_sqf
+    return all(k == 1 for _, k in poly.sqf_list()[1])
+
+
+@pytest.mark.parametrize("p", [None, 3, 7], ids=["Q", "F_3", "F_7"])
+def test_is_squarefree_against_sympy(p):
+    # Seeded products of two to four factors of degree up to 6, about half
+    # with a squared factor planted; over F_p some are composed with x^p,
+    # so their derivative vanishes.
+    rng = random.Random(909 + (p or 0))
+    ring = QQ if p is None else PrimeField(p)
+    opts = {} if p is None else {"modulus": p}
+
+    def rand(degree):
+        return (rand_q_poly(rng, degree) if p is None
+                else rand_fp_poly(rng, ring, degree))
+
+    answers = []
+    for _ in range(60):
+        f = Polynomial.one(ring)
+        for _ in range(rng.randint(2, 4)):
+            f = f * rand(rng.randint(1, 6))
+        if rng.random() < 0.5:
+            h = rand(rng.randint(1, 4))
+            f = f * h * h
+        if p is not None and rng.random() < 0.15:
+            f = f.compose(Polynomial.monomial(ring, p))
+        expected = sympy_is_squarefree(f, **opts)
+        assert is_squarefree(f) == expected, f
+        answers.append(expected)
+    assert answers.count(True) >= 5 and answers.count(False) >= 5
 
 
 def rand_factorable(rng):

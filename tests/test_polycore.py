@@ -218,8 +218,7 @@ class TestGcdAndSquarefree:
         assert not is_squarefree(Polynomial(f5, [1, 0, 0, 0, 0, 1]))
 
     def test_squarefree_falls_back_exactly(self):
-        # repeated factor whose discriminant structure survives mod the
-        # shortcut primes: exact fallback must still say False
+        # a repeated cubic factor: gcd(p, p') is that cubic
         p = (X**3 - X + 1)**2 * (X + 7)
         assert not is_squarefree(p)
 

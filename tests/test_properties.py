@@ -4,7 +4,10 @@ Division must satisfy a == q*b + r with deg r < deg b over every ring the
 library serves.  Operand lengths are drawn on both sides of
 ``_SCHOOLBOOK_TERMS``, so the products that check a division run the
 schoolbook loop and, where enough coefficients are nonzero, the Kronecker
-kernel.  Examples are derandomized, so every run draws the same inputs.
+kernel.  The pseudo-remainder behind ``resultant`` and ``poly_gcd`` must
+leave lc(b)^(da-db+1) * a minus itself divisible by b, with degree below
+deg b, over Z, F_p and Q[a].  Examples are derandomized, so every run draws
+the same inputs.
 """
 
 import json
@@ -17,7 +20,8 @@ from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField,  # noqa: E402
-                             _SCHOOLBOOK_TERMS, parse_polynomial)
+                             _SCHOOLBOOK_TERMS, _ZZ, _prs_prem,
+                             parse_polynomial)
 
 T = _SCHOOLBOOK_TERMS
 LENGTHS = {"short": (1, T - 1), "long": (T + 1, T + 12)}
@@ -87,6 +91,72 @@ def test_divmod_over_param_ring_by_constant_leading_coefficient(band):
     @given(division_operands(param_coeffs, constant_leads, LENGTHS[band]))
     def run(operands):
         check_division(QA, *operands)
+
+    run()
+
+
+@st.composite
+def prem_operands(draw, coeff, lead, max_len):
+    """(a, b) with nonzero leads and deg a >= deg b."""
+    nb = draw(st.integers(1, max_len))
+    na = draw(st.integers(nb, max_len + 2))
+    b = draw(st.lists(coeff, min_size=nb - 1, max_size=nb - 1)) + [draw(lead)]
+    a = draw(st.lists(coeff, min_size=na - 1, max_size=na - 1)) + [draw(lead)]
+    return a, b
+
+
+def check_pseudo_remainder(ring, poly_ring, a, b):
+    """prem = _prs_prem(a, b, ring); checked with Polynomial over poly_ring.
+
+    Returns the quotient (lc(b)^(da-db+1) * a - prem) / b.
+    """
+    prem = _prs_prem(a, b, ring)
+    num, den = Polynomial(poly_ring, a), Polynomial(poly_ring, b)
+    scale = Polynomial.constant(poly_ring, den.lc)**(num.degree - den.degree + 1)
+    rem = Polynomial(poly_ring, prem)
+    quot, left = divmod(scale * num - rem, den)
+    assert left.is_zero
+    assert rem.degree < den.degree
+    return quot
+
+
+@pytest.mark.parametrize("max_len", [6, T + 4])
+def test_pseudo_remainder_over_integers(max_len):
+    # The Z ring works on ints; Q checks them, and the pseudo-quotient is
+    # integral.
+    ints = st.integers(-60, 60)
+
+    @deterministic
+    @given(prem_operands(ints, ints.filter(bool), max_len))
+    def run(operands):
+        quot = check_pseudo_remainder(_ZZ, QQ, *operands)
+        assert all(c.denominator == 1 for c in quot.coeffs)
+
+    run()
+
+
+@pytest.mark.parametrize("p", [2, 7121, 2**61 - 1])
+def test_pseudo_remainder_over_prime_fields(p):
+    field = PrimeField(p)
+
+    @deterministic
+    @given(prem_operands(st.integers(0, p - 1), st.integers(1, p - 1), 12))
+    def run(operands):
+        check_pseudo_remainder(field, field, *operands)
+
+    run()
+
+
+def test_pseudo_remainder_over_param_ring():
+    # leading coefficients of a-degree up to 2, so most steps divide by a
+    # nonconstant element of Q[a]; divmod over Q[a] raises if the
+    # pseudo-quotient left Q[a][x]
+    leads = st.lists(rationals, min_size=1, max_size=3).map(tuple).filter(any)
+
+    @deterministic
+    @given(prem_operands(param_coeffs, leads, 5))
+    def run(operands):
+        check_pseudo_remainder(QA, QA, *operands)
 
     run()
 
