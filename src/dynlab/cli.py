@@ -25,7 +25,7 @@ from .dynatomic import (RelationTuple, build_relation_certificate,
                         dynatomic_poly, generalized_dynatomic)
 from .errors import DomainError, ExactDivisionError, ResourceLimitError
 from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
-from .numtheory import core_and_cocore
+from .numtheory import core_and_cocore, divisors, squarefree_divisors
 from .polycore import QA, QQ, PrimeField, Polynomial, parse_polynomial
 
 
@@ -203,11 +203,23 @@ def _cmd_relation(args) -> int:
 # -- scan -------------------------------------------------------------------
 
 def scan_rows(d_max: int, n_max: int) -> list[tuple[int, int]]:
-    """All grid pairs where x^n - 1 divides M_d, ordered by (d, n)."""
-    return [(d, n)
-            for d in range(1, d_max + 1)
-            for n in range(1, n_max + 1)
-            if fast_xn1_divides(d, n)]
+    """All grid pairs where x^n - 1 divides M_d, ordered by (d, n).
+
+    Only candidate periods are tested.  ``fast_xn1_divides(d, n)`` holds only
+    if every residue class of the indices d/e mod n sums to zero, the class of
+    d itself (e = 1, mu = +1) among them; so some e with mu(e) = -1 has
+    d/e = d (mod n), that is, n divides d - d/e.  The candidates for d are the
+    divisors n <= n_max of those differences, and ``fast_xn1_divides``
+    decides each one.  As 0 < d - d/e < d, every row has n < d.
+    """
+    if d_max < 1 or n_max < 1:
+        raise DomainError("scan bounds must be >= 1")
+    rows = []
+    for d in range(1, d_max + 1):
+        candidates = {n for e, mu in squarefree_divisors(d) if mu < 0
+                      for n in divisors(d - d // e) if n <= n_max}
+        rows += [(d, n) for n in sorted(candidates) if fast_xn1_divides(d, n)]
+    return rows
 
 
 def scan_csv(rows: list[tuple[int, int]]) -> str:

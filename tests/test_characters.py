@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -230,3 +231,22 @@ class TestEquivalenceSweep:
 
     def test_single_cell(self):
         assert equivalence_sweep(1, 1) == []
+
+    def test_both_criteria_on_every_pair(self, monkeypatch):
+        # The sweep is the independent route: unlike the grid scan it may not
+        # skip pairs that cannot divide, so each criterion sees all 30 * 20.
+        module = importlib.import_module("dynlab.characters")
+        calls = {"covers": 0, "fast_xn1_divides": 0}
+
+        def counted(name):
+            original = getattr(module, name)
+
+            def wrapper(d, n):
+                calls[name] += 1
+                return original(d, n)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name))
+        assert equivalence_sweep(30, 20) == []
+        assert calls == {"covers": 600, "fast_xn1_divides": 600}

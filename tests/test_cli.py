@@ -1,10 +1,12 @@
 import json
+import random
 import sys
 
 import pytest
 
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
 from dynlab.cli import main, scan_csv, scan_rows, scan_svg
+from dynlab.necklace import fast_xn1_divides
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +165,47 @@ class TestScanCommand:
         code, _ = run_cli(capsys, "scan", "--d-max", "2", "--n-max", "2",
                           "--out", "/nonexistent-dir/x.csv")
         assert code == 1
+
+    @pytest.mark.parametrize("bounds", [("0", "5"), ("-3", "5"), ("5", "0")],
+                             ids=["d-max-0", "d-max-negative", "n-max-0"])
+    def test_empty_bounds_refused(self, capsys, tmp_path, bounds):
+        csv_path, svg_path = tmp_path / "g.csv", tmp_path / "g.svg"
+        code = main(["scan", "--d-max", bounds[0], "--n-max", bounds[1],
+                     "--out", str(csv_path), "--svg", str(svg_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: scan bounds must be >= 1\n"
+        assert not csv_path.exists() and not svg_path.exists()
+
+
+def plain_scan(d_max, n_max):
+    """The plain double loop over every grid pair: the scan's reference."""
+    return [(d, n)
+            for d in range(1, d_max + 1)
+            for n in range(1, n_max + 1)
+            if fast_xn1_divides(d, n)]
+
+
+class TestScanCandidates:
+    def assert_matches_plain_loop(self, d_max, n_max):
+        rows = scan_rows(d_max, n_max)
+        assert rows == plain_scan(d_max, n_max)
+        assert all(n < d for d, n in rows)
+        hits = set(rows)
+        assert all((d, 1) in hits for d in range(2, d_max + 1))
+
+    def test_full_300_grid(self):
+        self.assert_matches_plain_loop(300, 300)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_boxes(self, seed):
+        # The plain loop costs about 5-10 us a cell, so a box stays near
+        # 150k cells; the sides reach 1200 x 400.
+        rng = random.Random(seed)
+        d_max = rng.randint(300, 1200)
+        n_max = rng.randint(10, min(400, 150_000 // d_max))
+        self.assert_matches_plain_loop(d_max, n_max)
 
 
 class TestCoverCommand:
