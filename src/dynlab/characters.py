@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .cyclotomic import cyclotomic_poly
@@ -35,8 +34,7 @@ from .polycore import QQ, Polynomial
 PHI_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class UnitGroup:
+class UnitGroup(NamedTuple):
     """Cyclic decomposition of the units mod n with a full dlog table.
 
     Generator orders are prime powers; their product is phi(n).  ``dlog``
@@ -64,18 +62,22 @@ class UnitGroup:
             raise DomainError(f"{q} is not a unit mod {self.modulus}") from None
 
 
-@dataclass(frozen=True)
-class Character:
-    """Exponent vector against the generator decomposition of a UnitGroup."""
-
+class _CharacterFields(NamedTuple):
     group: UnitGroup
     exponents: tuple[int, ...]
 
-    def __post_init__(self):
-        orders = self.group.orders
-        if len(self.exponents) != len(orders) or any(
-                not 0 <= e < o for e, o in zip(self.exponents, orders)):
+
+class Character(_CharacterFields):
+    """Exponent vector against the generator decomposition of a UnitGroup."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: UnitGroup, exponents: tuple[int, ...]):
+        orders = group.orders
+        if len(exponents) != len(orders) or any(
+                not 0 <= e < o for e, o in zip(exponents, orders)):
             raise DomainError("character exponents out of range")
+        return super().__new__(cls, group, exponents)
 
     def angle(self, q: int) -> Fraction:
         """chi(q) as an exact angle in [0, 1): chi(q) = e^(2*pi*i*angle)."""
@@ -189,8 +191,7 @@ def characters(group: UnitGroup) -> Iterator[Character]:
         yield Character(group, exps)
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """Re-checkable record of a hyperplane-cover decision.
 
     One witness entry per character: a prime p with chi(p) = 1, or None.
@@ -276,47 +277,68 @@ def _char_kills_sum(chi: Character, entries: dict[int, int],
     return (poly % cyclotomic_poly(L)).is_zero
 
 
+def _angle_table(group: UnitGroup, q: int) -> list[int]:
+    """Flat table of the angle numerators of chi(q) over all characters.
+
+    The order is that of ``characters()``: one list comprehension per
+    generator, the last generator varying fastest as in ``itertools.product``.
+    """
+    L = group.exponent
+    table = [0]
+    for x, o in zip(group.dlog_of(q), group.orders):
+        steps = [e * x * (L // o) % L for e in range(o)]
+        table = [(a + s) % L for a in table for s in steps]
+    return table
+
+
 def covers(d: int, n: int) -> CoverCertificate:
     """Decide x**n - 1 | M_d by hyperplane covers in the character group.
 
-    The ``covered`` verdict always matches ``fast_xn1_divides(d, n)``; the
-    certificate carries one witness (or None) per character and is
-    independently re-checkable.
+    For each usable prime p one flat table holds the angle numerator of
+    chi(p) for every character (``_angle_table``); the witness of a
+    character is the first usable p whose angle there is 0.  A Character
+    object is built only for a character with no witness, which then faces
+    the strata check (see the module docstring).  The ``covered`` verdict
+    always matches ``fast_xn1_divides(d, n)``; the certificate carries one
+    witness (or None) per character and is independently re-checkable.
     """
     if d < 1 or n < 1:
         raise DomainError("covers needs d, n >= 1")
-    fact = factorize(d)
-    usable = tuple(p for p in fact.primes if n % p != 0)
+    usable = tuple(p for p in factorize(d).primes if n % p != 0)
     group = unit_group(n)
-    strata = _strata_sums(d, n)
-    # kernel of reduction U_n -> U_m per stratum, for factor-through tests
-    kernels = {}
-    for g in strata:
-        m = n // g
-        kernels[g] = tuple(u for u in group.dlog if u % m == 1 % m)
-    usable_dlogs = [(p, group.dlog_of(p)) for p in usable]
-    witnesses: list[tuple[tuple[int, ...], int | None]] = []
+    found: list[int | None] = [None] * group.order
+    for p in reversed(usable):  # so that the first usable prime wins
+        found = [p if a == 0 else w
+                 for a, w in zip(_angle_table(group, p), found)]
+    vectors = list(itertools.product(*(range(o) for o in group.orders)))
     failing: tuple[int, ...] | None = None
-    for chi in characters(group):
-        witness = None
-        for p, vec in usable_dlogs:
-            if chi._angle_numerator(vec) == 0:
-                witness = p
-                break
-        witnesses.append((chi.exponents, witness))
-        if witness is not None or failing is not None:
-            continue
-        for g, entries in strata.items():
-            m = n // g
-            if any(chi._angle_numerator(group.dlog_of(u)) != 0
-                   for u in kernels[g]):
-                continue  # chi does not factor through modulus m
-            if not _char_kills_sum(chi, entries, m):
-                failing = chi.exponents
+    if None in found:
+        strata = _strata_sums(d, n)
+        # kernel of reduction U_n -> U_m per stratum, for factor-through tests
+        kernels = {g: tuple(u for u in group.dlog
+                            if u % (n // g) == 1 % (n // g))
+                   for g in strata}
+        for exponents, witness in zip(vectors, found):
+            if witness is None and not _kills_strata(
+                    Character(group, exponents), strata, kernels, n):
+                failing = exponents
                 break
     return CoverCertificate(
         d=d, n=n, usable_primes=usable, covered=failing is None,
-        witnesses=tuple(witnesses), failing_character=failing)
+        witnesses=tuple(zip(vectors, found)), failing_character=failing)
+
+
+def _kills_strata(chi: Character, strata: dict[int, dict[int, int]],
+                  kernels: dict[int, tuple[int, ...]], n: int) -> bool:
+    """Whether chi annihilates every stratum sum it factors through."""
+    group = chi.group
+    for g, entries in strata.items():
+        if any(chi._angle_numerator(group.dlog_of(u)) != 0
+               for u in kernels[g]):
+            continue  # chi does not factor through modulus n // g
+        if not _char_kills_sum(chi, entries, n // g):
+            return False
+    return True
 
 
 def hyperplane_forms(d: int, n: int) -> list[tuple[int, tuple[int, ...]]]:

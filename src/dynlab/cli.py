@@ -15,7 +15,6 @@ when the character group is not covered; I/O and usage problems exit 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -36,6 +35,8 @@ def _emit(text: str) -> None:
 
 
 def _dump_json(data) -> str:
+    import json  # here, not at module level: most commands never encode
+
     return json.dumps(data, indent=2)
 
 
@@ -167,11 +168,12 @@ def _cmd_relation(args) -> int:
     cert = build_relation_certificate(
         t, family=family, family_label=label, trials=args.trials,
         seed=args.seed, cap=args.degree_max, force=args.force)
-    payload = cert.to_json_dict()
+    wanted = args.out or args.format == "json"
+    text = _dump_json(cert.to_json_dict()) if wanted else ""
     if args.out:
-        _write_file(args.out, _dump_json(payload))
+        _write_file(args.out, text)
     if args.format == "json":
-        _emit(_dump_json(payload))
+        _emit(text)
     else:
         # rendered whole before writing: a cofactor degree past Python's
         # int-to-str digit limit then fails with nothing on stdout
@@ -256,11 +258,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_cover(args) -> int:
     cert = covers(args.d, args.n)
-    payload = cert.to_json_dict()
+    wanted = args.certificate or args.format == "json"
+    text = _dump_json(cert.to_json_dict()) if wanted else ""
     if args.certificate:
-        _write_file(args.certificate, _dump_json(payload))
+        _write_file(args.certificate, text)
     if args.format == "json":
-        _emit(_dump_json(payload))
+        _emit(text)
     else:
         cocore = core_and_cocore(args.d)[1]
         state = "covered" if cert.covered else "not covered"

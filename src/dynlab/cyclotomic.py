@@ -24,9 +24,9 @@ exact division, so the filter never changes an answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError
 from .numtheory import core_and_cocore, factorize, is_prime
@@ -153,8 +153,7 @@ def _vanishes_mod(coeffs_desc: list[int], k: int) -> bool:
     return acc == 0
 
 
-@dataclass(frozen=True)
-class CycloFactorReport:
+class CycloFactorReport(NamedTuple):
     """Outcome of a full cyclotomic-factor scan.
 
     input = x**x_multiplicity * prod of Phi_n**mult * cofactor holds exactly,

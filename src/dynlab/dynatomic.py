@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, ResourceLimitError
@@ -141,25 +141,28 @@ def telescope_check(f: Polynomial, m: int, n: int) -> bool:
     return product == table[m + n] - table[m]
 
 
-@dataclass(frozen=True)
-class RelationTuple:
-    """Indices (m, n, c, d) of a candidate divisibility relation."""
-
+class _RelationTupleFields(NamedTuple):
     m: int
     n: int
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.m < 0 or self.c < 0 or self.n < 1 or self.d < 1:
+
+class RelationTuple(_RelationTupleFields):
+    """Indices (m, n, c, d) of a candidate divisibility relation."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, c: int, d: int):
+        if m < 0 or c < 0 or n < 1 or d < 1:
             raise DomainError("relation tuple needs m, c >= 0 and n, d >= 1")
+        return super().__new__(cls, m, n, c, d)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "c": self.c, "d": self.d}
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Clause-by-clause evaluation of the admissibility conditions.
 
     cond1: m > c or n does not divide d (keeps the two dynatomics apart);
@@ -191,8 +194,7 @@ def relation_conditions(t: RelationTuple) -> ConditionReport:
     return ConditionReport(cond1=cond1, cond2=cond2, cond3=cond3, alt=alt)
 
 
-@dataclass(frozen=True)
-class DivisibilityEvidence:
+class DivisibilityEvidence(NamedTuple):
     """Outcome of one exact divisibility test for a relation tuple."""
 
     family: str
@@ -340,8 +342,7 @@ def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial:
     return s0.scale(ring.exact_div(ring.one, r0.lc)) % modulus
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
+class RelationCertificate(NamedTuple):
     """A relation tuple, its admissibility, and the divisibility evidence."""
 
     indices: RelationTuple

@@ -13,9 +13,8 @@ is exactly divisibility of M_d by x**m * (x**n - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, NotInvertibleError
 from .numtheory import squarefree_divisors
@@ -119,16 +118,20 @@ class PsiElement:
         return f"PsiElement({' '.join(bits)})"
 
 
-@dataclass(frozen=True)
-class PsiQuotient:
-    """Index quotient identifying k >= m+n with m + ((k - m) mod n)."""
-
+class _PsiQuotientFields(NamedTuple):
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 1:
+
+class PsiQuotient(_PsiQuotientFields):
+    """Index quotient identifying k >= m+n with m + ((k - m) mod n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int):
+        if m < 0 or n < 1:
             raise DomainError("quotient needs m >= 0 and n >= 1")
+        return super().__new__(cls, m, n)
 
     def reduce_index(self, k: int) -> int:
         if k < self.m + self.n:

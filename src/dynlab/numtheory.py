@@ -15,8 +15,8 @@ counterexample, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -45,21 +45,24 @@ def _check_positive(n: int, what: str = "argument") -> None:
         raise DomainError(f"{what} exceeds the {INPUT_BIT_CAP}-bit cap")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _FactorizationFields(NamedTuple):
+    value: int
+    factors: tuple[tuple[int, int], ...]
+
+
+class Factorization(_FactorizationFields):
     """A positive integer together with its canonical prime factorization.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly
     increasing primes and exponents >= 1; their product equals ``value``.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
         prev = 1
-        for p, k in self.factors:
+        for p, k in factors:
             if k < 1:
                 raise DomainError(f"exponent {k} < 1 in factorization")
             if p <= prev:
@@ -68,9 +71,10 @@ class Factorization:
                 raise DomainError(f"{p} is not prime")
             prev = p
             prod *= p**k
-        if prod != self.value:
+        if prod != value:
             raise DomainError(
-                f"factor product {prod} does not equal value {self.value}")
+                f"factor product {prod} does not equal value {value}")
+        return super().__new__(cls, value, factors)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -198,13 +202,17 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def squarefree_divisors(n: int) -> list[tuple[int, int]]:
-    """Pairs (e, mobius(e)) over the squarefree divisors e of n, ascending."""
+@lru_cache(maxsize=65536)
+def squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (e, mobius(e)) over the squarefree divisors e of n, ascending.
+
+    Cached, so the result is a tuple that callers cannot mutate.
+    """
     _check_positive(n, "squarefree_divisors() argument")
     pairs = [(1, 1)]
     for p in factorize(n).primes:
         pairs += [(e * p, -mu) for e, mu in pairs]
-    return sorted(pairs)
+    return tuple(sorted(pairs))
 
 
 def euler_phi(n: int) -> int:

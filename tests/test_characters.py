@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
-from dynlab.characters import (Character, characters, covers,
+from dynlab.characters import (Character, CoverCertificate, _char_kills_sum,
+                               _strata_sums, characters, covers,
                                equivalence_sweep, hyperplane_forms, unit_group)
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import fast_xn1_divides
-from dynlab.numtheory import euler_phi, is_prime
+from dynlab.numtheory import euler_phi, factorize, is_prime
 
 
 class TestUnitGroup:
@@ -223,6 +224,59 @@ class TestCovers:
             "witnesses": [{"chi": [], "p": 3}],
             "failing_character": None,
         }
+
+
+def _covers_by_character_loop(d, n):
+    """The per-character loop that ``covers`` replaced, kept as a reference:
+    one Character per element of the group, each tested against every
+    usable prime with ``value_is_one``."""
+    usable = tuple(p for p in factorize(d).primes if n % p != 0)
+    group = unit_group(n)
+    strata = _strata_sums(d, n)
+    kernels = {g: tuple(u for u in group.dlog if u % (n // g) == 1 % (n // g))
+               for g in strata}
+    witnesses = []
+    failing = None
+    for chi in characters(group):
+        witness = next((p for p in usable if chi.value_is_one(p)), None)
+        witnesses.append((chi.exponents, witness))
+        if witness is not None or failing is not None:
+            continue
+        for g, entries in strata.items():
+            if any(not chi.value_is_one(u) for u in kernels[g]):
+                continue
+            if not _char_kills_sum(chi, entries, n // g):
+                failing = chi.exponents
+                break
+    return CoverCertificate(
+        d=d, n=n, usable_primes=usable, covered=failing is None,
+        witnesses=tuple(witnesses), failing_character=failing)
+
+
+class TestCoversAgainstCharacterLoop:
+    def test_every_pair_up_to_60(self):
+        for d in range(1, 61):
+            for n in range(1, 61):
+                assert (covers(d, n).to_json_dict()
+                        == _covers_by_character_loop(d, n).to_json_dict()), (
+                    d, n)
+
+    def test_seeded_large_pairs(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for i in range(24):
+            d = rng.randrange(2, 10**12)
+            n = rng.randint(2, 4000)
+            if i % 2:
+                # a prime p = 1 (mod n) makes d covered
+                p = next(q for q in range(n * rng.randint(1, 200) + 1,
+                                          10**9, n) if is_prime(q))
+                d = d * p if d * p < 10**12 else p
+            cert = covers(d, n)
+            verdicts.add(cert.covered)
+            assert (cert.to_json_dict()
+                    == _covers_by_character_loop(d, n).to_json_dict()), (d, n)
+        assert verdicts == {True, False}
 
 
 class TestEquivalenceSweep:

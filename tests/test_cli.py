@@ -1,12 +1,23 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dynlab
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
+from dynlab.characters import Character, covers, unit_group
 from dynlab.cli import main, scan_csv, scan_rows, scan_svg
-from dynlab.necklace import fast_xn1_divides
+from dynlab.cyclotomic import cyclo_factor_scan
+from dynlab.dynatomic import (DivisibilityEvidence, RelationCertificate,
+                              RelationTuple, relation_conditions)
+from dynlab.errors import DomainError
+from dynlab.necklace import PsiQuotient, fast_xn1_divides
+from dynlab.numtheory import Factorization, factorize
+from dynlab.polycore import QQ, parse_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -348,3 +359,102 @@ def test_scan_helpers_consistent():
     assert csv.count("\n") == len(rows) + 1
     svg = scan_svg(rows, 20, 10)
     assert svg.count("height=\"2\"") == len(rows)
+
+
+class TestCommandJsonEncodedOnce:
+    """One encoding serves both the written file and ``--format json``."""
+
+    def test_cover_stdout_equals_certificate(self, capsys, tmp_path):
+        path = tmp_path / "cover.json"
+        code, out = run_cli(capsys, "cover", "--d", "66356058851", "--n",
+                            "266", "--certificate", str(path),
+                            "--format", "json")
+        assert code == 3
+        assert out.encode("utf-8") == path.read_bytes()
+
+    def test_relation_stdout_equals_out_file(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        code, out = run_cli(capsys, "relation", "--m", "1", "--n", "2",
+                            "--c", "1", "--d", "3", "--trials", "3",
+                            "--out", str(path), "--format", "json")
+        assert code == 0
+        assert out.encode("utf-8") == path.read_bytes()
+
+
+def test_import_loads_every_layer_but_not_dataclasses_or_json():
+    # a fresh interpreter: only the modules that importing dynlab.cli adds
+    src = Path(dynlab.__file__).resolve().parent.parent
+    probe = ("import sys; before = set(sys.modules); import dynlab.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    added = set(subprocess.run([sys.executable, "-c", probe], env=env,
+                               check=True, capture_output=True,
+                               text=True).stdout.split())
+    layers = {f"dynlab.{name}" for name in (
+        "numtheory", "polycore", "necklace", "cyclotomic", "characters",
+        "dynatomic")}
+    assert layers <= added
+    assert not {"dataclasses", "json"} & added
+
+
+_TUPLE = RelationTuple(m=1, n=2, c=1, d=3)
+
+# (record, its repr, a field to assign to)
+RECORDS = [
+    (factorize(12), "Factorization(value=12, factors=((2, 2), (3, 1)))",
+     "value"),
+    (PsiQuotient(m=1, n=2), "PsiQuotient(m=1, n=2)", "n"),
+    (cyclo_factor_scan(parse_polynomial("x^3 - x", QQ)),
+     "CycloFactorReport(input_degree=3, x_multiplicity=1, "
+     "cyclo_indices=((1, 1), (2, 1)), cofactor_degree=0, "
+     "cofactor=<1 over QQ>)", "cofactor"),
+    (unit_group(5), "UnitGroup(modulus=5, generators=((2, 4),), "
+     "dlog={1: (0,), 2: (1,), 4: (2,), 3: (3,)}, exponent=4)", "exponent"),
+    (Character(group=unit_group(5), exponents=(1,)),
+     "Character(group=UnitGroup(modulus=5, generators=((2, 4),), "
+     "dlog={1: (0,), 2: (1,), 4: (2,), 3: (3,)}, exponent=4), "
+     "exponents=(1,))", "exponents"),
+    (covers(2, 5), "CoverCertificate(d=2, n=5, usable_primes=(2,), "
+     "covered=False, witnesses=(((0,), 2), ((1,), None), ((2,), None), "
+     "((3,), None)), failing_character=(1,))", "covered"),
+    (_TUPLE, "RelationTuple(m=1, n=2, c=1, d=3)", "d"),
+    (relation_conditions(_TUPLE),
+     "ConditionReport(cond1=True, cond2=True, cond3=True, alt=False)", "alt"),
+    (DivisibilityEvidence(family="x^2+a", ring="Q[a]", seed=None,
+                          divides=True, cofactor_degree=2,
+                          remainder_degree=None),
+     "DivisibilityEvidence(family='x^2+a', ring='Q[a]', seed=None, "
+     "divides=True, cofactor_degree=2, remainder_degree=None)", "divides"),
+    (RelationCertificate(indices=_TUPLE,
+                         conditions=relation_conditions(_TUPLE),
+                         evidence=()),
+     "RelationCertificate(indices=RelationTuple(m=1, n=2, c=1, d=3), "
+     "conditions=ConditionReport(cond1=True, cond2=True, cond3=True, "
+     "alt=False), evidence=())", "evidence"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record,text,field", RECORDS,
+                             ids=[type(r[0]).__name__ for r in RECORDS])
+    def test_repr_keywords_and_frozen(self, record, text, field):
+        assert repr(record) == text
+        assert type(record)(**record._asdict()) == record
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Factorization(value=12, factors=((2, 1), (3, 1))),
+        lambda: Factorization(value=4, factors=((4, 1),)),
+        lambda: Factorization(value=6, factors=((3, 1), (2, 1))),
+        lambda: Factorization(value=1, factors=((2, 0),)),
+        lambda: PsiQuotient(m=-1, n=1),
+        lambda: PsiQuotient(m=0, n=0),
+        lambda: Character(group=unit_group(5), exponents=(4,)),
+        lambda: Character(group=unit_group(5), exponents=(1, 0)),
+        lambda: RelationTuple(m=0, n=0, c=0, d=1),
+        lambda: RelationTuple(m=0, n=1, c=-1, d=1),
+    ])
+    def test_validated_records_refuse(self, build):
+        with pytest.raises(DomainError):
+            build()

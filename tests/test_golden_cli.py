@@ -65,6 +65,10 @@ CASES = [
     ("cover_big_d",
      ["cover", "--d", "440512358437", "--n", "65",
       "--certificate", "cover.json"], 0, ["cover.json"]),
+    # not covered: a failing character and 108 witnesses
+    ("cover_66356058851_266_json",
+     ["cover", "--d", "66356058851", "--n", "266",
+      "--certificate", "cover.json", "--format", "json"], 3, ["cover.json"]),
 ]
 
 

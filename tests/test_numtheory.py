@@ -151,6 +151,13 @@ def test_squarefree_divisors_sign_structure():
             assert mu == mobius(e)
 
 
+def test_squarefree_divisors_cached_as_tuple():
+    first = squarefree_divisors(12)
+    assert isinstance(first, tuple)
+    assert squarefree_divisors(12) is first
+    assert dict(squarefree_divisors(12)) == {1: 1, 2: -1, 3: -1, 6: 1}
+
+
 def test_euler_phi_examples():
     assert euler_phi(1) == 1
     assert euler_phi(65) == 48
