@@ -14,23 +14,20 @@ universally divides the shifted (c, d) dynatomic: those checks live in
 ``relation_conditions``; ``verify_relation`` performs the polynomial leg
 for a concrete or parametric f.  It works modulo D = Phi_{f,m,n}, which
 divides f**(m+n) - f**m, so f**k is congruent to f**k' for
-k' = PsiQuotient(m, n).reduce_index(k).  Three routes, chosen by the tuple
+k' = PsiQuotient(m, n).reduce_index(k).  Two routes, chosen by the tuple
 and D alone:
 
 1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences.
    Dividing D out of each factor it divides gives Phi_{f,c,d} * Dn' =
-   D**s * N', where s counts those factors in N less those in Dn.  For
-   c <= 1 and 2 deg D < deg Phi_{f,c,d} such a factor F enters N' or Dn'
-   as F / D mod D, read off the iterates up to f**(c+d) mod D**2;
-   elsewhere it stays 0 mod D, so s != 0 or Dn' = 0 and the leg is left
-   open.  If s = 0 and Res(D, Dn') != 0, D is prime to Dn' (over Q(a) for
-   Q[a]), so D | Phi_{f,c,d} - 1 exactly when N' = Dn' mod D, and
-   Phi_{f,c,d} = N' / Dn' mod D.  That quotient is computed only for
-   c <= 1 and 2 deg D < deg Phi_{f,c,d}, and only over a field.
-2. P(g), for c >= 2: Phi_{f,c,d} = Phi_{f,1,d}(f**(c-1)), and composing
-   on the right is a ring homomorphism, so Horner mod D at
-   g = f**(c-1) mod D gives the exact remainder.
-3. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
+   D**s * N', where s counts those factors in N less those in Dn.  When
+   2 deg D < deg Phi_{f,c,d} such a factor F enters N' or Dn' as
+   F / D mod D, read off the iterates up to f**(c+d) mod D**2; otherwise
+   it stays 0 mod D, so s != 0 or Dn' = 0 and the leg is left open.  If
+   s = 0 and Res(D, Dn') != 0, D is prime to Dn' (over Q(a) for Q[a]), so
+   D | Phi_{f,c,d} - 1 exactly when N' = Dn' mod D, and Phi_{f,c,d} =
+   N' / Dn' mod D.  That quotient is computed only over a field and only
+   when (deg D)**2 < deg Phi_{f,c,d}.
+2. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
    smaller than Phi_{f,c,d}, or when D's leading coefficient is not a unit
    (in Q[a], not a nonzero constant), where reduction mod D would leave
    the coefficient ring.
@@ -232,15 +229,14 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
 
     D is always built.  When its leading coefficient is a unit and it is
     smaller than Phi_{f,c,d}, one pass over the iterates mod D decides the
-    leg if it can (see the module docstring): by N' = Dn' mod D, for
-    c <= 1 by N' / Dn' mod D, and for c >= 2 by the exact remainder
-    Phi_{f,1,d}(g) mod D.  Otherwise Phi_{f,c,d} is built and divided.
-    The cap (5000, or DYNLAB_DEGREE_CAP) bounds what is built.  It is
-    checked for D before anything is built; for Phi_{f,c,d} before the
-    iterates mod D**2, whose c + d compositions it bounds, and before the
-    full construction; and for Phi_{f,1,d} before the P(g) route.  Each
-    refusal is a ResourceLimitError.  A c <= 1 leg with no factor 0 mod D
-    builds none of these, so it may answer past the cap.
+    leg if it can (see the module docstring): by N' = Dn' mod D, or by
+    N' / Dn' mod D.  Otherwise Phi_{f,c,d} is built and divided.  The cap
+    (5000, or DYNLAB_DEGREE_CAP) bounds what is built.  It is checked for
+    D before anything is built, and for Phi_{f,c,d} before the iterates
+    mod D**2, whose c + d compositions it bounds, and before the full
+    construction.  Each refusal is a ResourceLimitError.  A leg that the
+    pass decides with no factor 0 mod D builds neither, so it may answer
+    past the cap.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
@@ -282,7 +278,7 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
                         divisor: Polynomial, cap: int) -> Polynomial | None:
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
 
-    Routes 1 and 2 of the module docstring.  N and Dn collect the factors
+    Route 1 of the module docstring.  N and Dn collect the factors
     f**(c+d/e) - f**c (and, for c >= 1, those at c - 1 with the opposite
     sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N exactly.
     Only the factors that are 0 mod D are lifted, and the iterates mod
@@ -295,10 +291,9 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     factors = [(pre + t.d // e, pre, mu * sign)
                for e, mu in squarefree_divisors(t.d) for pre, sign in shifts]
     reduced = [residues[index(i)] - residues[index(j)] for i, j, _ in factors]
-    small = (t.c < 2 and 2 * divisor.degree
-             < generalized_dynatomic_degree(f.degree, t.c, t.d))
+    top = generalized_dynatomic_degree(f.degree, t.c, t.d)
     lifts = None
-    if small and any(factor.is_zero for factor in reduced):
+    if 2 * divisor.degree < top and any(factor.is_zero for factor in reduced):
         _check_cap(f.degree, t.c, t.d, cap)
         lifts = _residues(f, divisor * divisor, t.c + t.d)
     num = den = Polynomial.one(ring)
@@ -312,22 +307,16 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
             num = num * factor % divisor
         else:
             den = den * factor % divisor
-    # the inverse is taken only under the same degree condition as the
-    # lift: without it, inverting Dn' can cost more than building in full
-    invert = small and ring is not QA
+    # Euclid on D and Dn' takes about deg(D)**2 field operations, so the
+    # inverse is taken only below deg Phi_{f,c,d}: past it, inverting can
+    # cost more than building in full
+    invert = divisor.degree ** 2 < top and ring is not QA
     if (not order and not den.is_zero and (num == den or invert)
             and not ring.is_zero(resultant(divisor, den))):
         if num == den:
             return Polynomial.zero(ring)
         return (num * _inverse_mod(den, divisor) - 1) % divisor
-    if t.c < 2:
-        return None
-    _check_cap(f.degree, 1, t.d, cap)
-    g = residues[index(t.c - 1)]
-    acc = Polynomial.zero(ring)
-    for coeff in reversed(generalized_dynatomic(f, 1, t.d).coeffs):
-        acc = (acc * g + Polynomial.constant(ring, coeff)) % divisor
-    return acc - 1
+    return None
 
 
 def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial:

@@ -201,12 +201,20 @@ class TestVerifyRelation:
         ev = verify_relation(RelationTuple(0, 2, 0, 5), F_SQ1, cap=10)
         assert ev.divides and ev.cofactor_degree == 28
         # (1, 1, 2, 5) is an alt-clause tuple: every factor is 0 mod D, so
-        # route 2 builds Phi_{1,5} (degree 30) rather than Phi_{2,5} (60)
-        ev = verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=30)
+        # the lift decides it, under the cap on Phi_{2,5} (degree 60)
+        ev = verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=60)
         assert ev.divides and ev.cofactor_degree == 60 - 2
-        with pytest.raises(ResourceLimitError, match=r"degree 30 of the "
-                                                     r"\(1, 5\) dynatomic"):
-            verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=29)
+        with pytest.raises(ResourceLimitError, match=r"degree 60 of the "
+                                                     r"\(2, 5\) dynatomic"):
+            verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=59)
+        # D = Phi_{1,2} has degree 2, but Phi_{2,12} has degree 8040, over
+        # the default cap, so the leg is refused before the lift starts
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"degree 8040 of the "
+                                                     r"\(2, 12\) dynatomic"):
+            verify_relation(RelationTuple(1, 2, 2, 12),
+                            parse_polynomial("x^2+x+3"))
+        assert time.perf_counter() - start < 0.5
         # no factor of (2, 1, 0, 7) is 0 mod D = Phi_{2,1}, so N / Dn mod D
         # decides the leg and Phi_{0,7} (degree 126) is never built
         t = RelationTuple(2, 1, 0, 7)
@@ -233,6 +241,18 @@ class TestVerifyRelation:
         ev = verify_relation(RelationTuple(0, 2, 0, 6), f)
         elapsed = time.perf_counter() - start
         assert not ev.divides and ev.remainder_degree == 10
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_lifted_route_at_c_two(self, m):
+        # D = Phi_{m,2} has degree 2 and the factors of Phi_{2,10} with
+        # 2 | d/e are 0 mod D, so N = Dn mod D decides nothing.  Building
+        # Phi_{2,10} in full (degree 1980) takes about 7 s
+        start = time.perf_counter()
+        ev = verify_relation(RelationTuple(m, 2, 2, 10),
+                             parse_polynomial("x^2+x+3"))
+        elapsed = time.perf_counter() - start
+        assert ev.divides and ev.cofactor_degree == 1978
         assert elapsed < 0.5
 
     def test_degree_guard_env_override(self, monkeypatch):
@@ -279,15 +299,12 @@ def _cross_check(t, f, seed, tables):
     # one table mod D, and the one mod D**2 only when a factor is 0 mod D
     assert tables[0] == (divisor, t.m + t.n - 1), (t, f)
     top = generalized_dynatomic_degree(f.degree, t.c, t.d)
-    lifted = (t.c < 2 and 2 * divisor.degree < top
-              and _vanishing_factor(t, f, divisor))
+    lifted = 2 * divisor.degree < top and _vanishing_factor(t, f, divisor)
     assert tables[1:] == ([(divisor * divisor, t.c + t.d)] if lifted else []), \
         (t, f)
     if fast is None:
         return "full"
     assert fast == rem, (t, f)
-    if t.c >= 2:
-        return "P(g)" if not fast.is_zero else "N/Dn or P(g)"
     route = "N/Dn" if fast.is_zero else "inverse"
     return route + " lifted" if lifted else route
 
@@ -362,12 +379,12 @@ def _prime_field_legs():
 
 class TestQuotientRoutes:
     @pytest.mark.parametrize("legs,routes_seen", [
-        (_test_suite_legs, {"N/Dn", "N/Dn lifted", "N/Dn or P(g)",
-                            "inverse lifted", "full", "lead"}),
-        (_box_legs, {"N/Dn", "N/Dn lifted", "N/Dn or P(g)", "inverse",
-                     "inverse lifted", "P(g)", "full"}),
-        (_prime_field_legs, {"N/Dn", "N/Dn lifted", "N/Dn or P(g)",
-                             "inverse", "inverse lifted", "P(g)", "full"}),
+        (_test_suite_legs, {"N/Dn", "N/Dn lifted", "inverse lifted", "full",
+                            "lead"}),
+        (_box_legs, {"N/Dn", "N/Dn lifted", "inverse", "inverse lifted",
+                     "full"}),
+        (_prime_field_legs, {"N/Dn", "N/Dn lifted", "inverse",
+                             "inverse lifted", "full"}),
     ], ids=["suite", "box", "prime_fields"])
     def test_agrees_with_full_construction(self, legs, routes_seen,
                                            monkeypatch):
