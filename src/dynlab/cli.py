@@ -47,6 +47,16 @@ def _write_file(path: str, payload: str) -> None:
             handle.write("\n")
 
 
+def _write_certificate(cert, path: str | None, fmt: str) -> None:
+    """Encode cert's JSON once, for the file at path and for --format json."""
+    if path or fmt == "json":
+        text = _dump_json(cert.to_json_dict())
+        if path:
+            _write_file(path, text)
+        if fmt == "json":
+            _emit(text)
+
+
 def _poly_payload(poly: Polynomial) -> dict:
     return {"text": poly.to_text(), "json": poly.to_json_dict()}
 
@@ -168,13 +178,8 @@ def _cmd_relation(args) -> int:
     cert = build_relation_certificate(
         t, family=family, family_label=label, trials=args.trials,
         seed=args.seed, cap=args.degree_max, force=args.force)
-    wanted = args.out or args.format == "json"
-    text = _dump_json(cert.to_json_dict()) if wanted else ""
-    if args.out:
-        _write_file(args.out, text)
-    if args.format == "json":
-        _emit(text)
-    else:
+    _write_certificate(cert, args.out, args.format)
+    if args.format == "text":
         # rendered whole before writing: a cofactor degree past Python's
         # int-to-str digit limit then fails with nothing on stdout
         cond = cert.conditions
@@ -258,13 +263,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_cover(args) -> int:
     cert = covers(args.d, args.n)
-    wanted = args.certificate or args.format == "json"
-    text = _dump_json(cert.to_json_dict()) if wanted else ""
-    if args.certificate:
-        _write_file(args.certificate, text)
-    if args.format == "json":
-        _emit(text)
-    else:
+    _write_certificate(cert, args.certificate, args.format)
+    if args.format == "text":
         cocore = core_and_cocore(args.d)[1]
         state = "covered" if cert.covered else "not covered"
         _emit(f"d = {args.d}, n = {args.n}: {state}")

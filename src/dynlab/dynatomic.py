@@ -156,7 +156,7 @@ class RelationTuple(_RelationTupleFields):
         return super().__new__(cls, m, n, c, d)
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "c": self.c, "d": self.d}
+        return self._asdict()
 
 
 class ConditionReport(NamedTuple):
@@ -178,8 +178,7 @@ class ConditionReport(NamedTuple):
         return (self.cond1 and self.cond2 and self.cond3) or self.alt
 
     def to_json_dict(self) -> dict:
-        return {"cond1": self.cond1, "cond2": self.cond2, "cond3": self.cond3,
-                "alt": self.alt, "admissible": self.admissible}
+        return {**self._asdict(), "admissible": self.admissible}
 
 
 def relation_conditions(t: RelationTuple) -> ConditionReport:
@@ -202,14 +201,7 @@ class DivisibilityEvidence(NamedTuple):
     remainder_degree: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "ring": self.ring,
-            "seed": self.seed,
-            "divides": self.divides,
-            "cofactor_degree": self.cofactor_degree,
-            "remainder_degree": self.remainder_degree,
-        }
+        return self._asdict()
 
 
 def _check_cap(k: int, pre: int, per: int, cap: int) -> None:
@@ -312,7 +304,7 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     # cost more than building in full
     invert = divisor.degree ** 2 < top and ring is not QA
     if (not order and not den.is_zero and (num == den or invert)
-            and not ring.is_zero(resultant(divisor, den))):
+            and resultant(divisor, den)):
         if num == den:
             return Polynomial.zero(ring)
         return (num * _inverse_mod(den, divisor) - 1) % divisor

@@ -16,7 +16,8 @@ Three coefficient rings are supported:
 Each ring is a ``CoefficientRing``, the one arithmetic protocol.  It serves
 both the polynomial arithmetic and the subresultant remainder sequences
 behind ``resultant`` and ``poly_gcd``; over Q those sequences run on a
-private integer ring after clearing denominators.
+private integer ring after clearing denominators.  Its only zero test is
+the truth test: a ring element is falsy exactly when it is zero.
 
 Polynomial products in every ring run on one integer kernel, ``_convolve``.
 It multiplies by Kronecker substitution: each signed integer operand is
@@ -42,6 +43,7 @@ usually the interesting mathematical outcome, not an error condition.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -52,12 +54,24 @@ from .errors import DomainError, ExactDivisionError
 # ---------------------------------------------------------------------------
 # coefficient rings
 
+def _power(mul, one, u, k: int):
+    """u**k for an int k >= 0, by square-and-multiply on mul from one."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, u)
+        k >>= 1
+        if k:
+            u = mul(u, u)
+    return result
+
+
 class CoefficientRing:
     """The one arithmetic protocol: Polynomial, the division kernels and the
     resultant/gcd remainder sequences all call these methods.
 
-    In every ring an element is falsy exactly when it is zero, so the
-    Polynomial loops skip zero coefficients with a plain truth test.
+    The truth test is the protocol's only zero test: in every ring an
+    element is falsy exactly when it is zero, and every loop skips with it.
     """
 
     characteristic: int = 0
@@ -83,22 +97,12 @@ class CoefficientRing:
     def neg(self, u):
         raise NotImplementedError
 
-    def is_zero(self, u) -> bool:
-        raise NotImplementedError
-
     def exact_div(self, u, v):
         raise NotImplementedError
 
     def pow(self, u, k: int):
         """u**k for an int k >= 0, by square-and-multiply on ``mul``."""
-        result = self.one
-        while k:
-            if k & 1:
-                result = self.mul(result, u)
-            k >>= 1
-            if k:
-                u = self.mul(u, u)
-        return result
+        return _power(self.mul, self.one, u, k)
 
     def format(self, u) -> str:
         raise NotImplementedError
@@ -133,9 +137,6 @@ class Rationals(CoefficientRing):
     def neg(self, u):
         return -u
 
-    def is_zero(self, u) -> bool:
-        return not u
-
     def exact_div(self, u, v):
         return u / v
 
@@ -149,7 +150,7 @@ class Rationals(CoefficientRing):
 class _Integers(Rationals):
     """Z on plain ints: the Q resultant and gcd clear denominators into it.
 
-    Q's add, sub, mul, neg and is_zero serve ints unchanged; only the
+    Q's add, sub, mul and neg serve ints unchanged; only the
     checked division and the power differ.  Arithmetic only; no polynomial
     is ever built over it.
     """
@@ -211,9 +212,6 @@ class PrimeField(CoefficientRing):
     def neg(self, u):
         return -u % self.p
 
-    def is_zero(self, u) -> bool:
-        return u % self.p == 0
-
     def exact_div(self, u, v):
         return u * pow(v, -1, self.p) % self.p
 
@@ -251,7 +249,7 @@ class ParamRing(CoefficientRing):
 
     def coerce(self, value) -> tuple:
         if isinstance(value, tuple):
-            return _strip(QQ, [Fraction(c) for c in value])
+            return _strip([Fraction(c) for c in value])
         if isinstance(value, (int, Fraction)):
             c = Fraction(value)
             return (c,) if c else ()
@@ -265,7 +263,7 @@ class ParamRing(CoefficientRing):
         out = list(u)
         for i, c in enumerate(v):
             out[i] += c
-        return _strip(QQ, out)
+        return _strip(out)
 
     def sub(self, u, v):
         return self.add(u, self.neg(v))
@@ -275,9 +273,6 @@ class ParamRing(CoefficientRing):
 
     def neg(self, u):
         return tuple(-c for c in u)
-
-    def is_zero(self, u) -> bool:
-        return not u
 
     def exact_div(self, u, v):
         if not v:
@@ -293,7 +288,7 @@ class ParamRing(CoefficientRing):
         return super().pow(u, k)
 
     def format(self, u) -> str:
-        return _format_terms(u, "a", lambda c: str(c), parenthesize=False)
+        return _format_terms(u, "a", str)
 
     def __repr__(self) -> str:
         return "QA"
@@ -315,7 +310,7 @@ class Polynomial:
     def __init__(self, ring: CoefficientRing, coeffs: Iterable = ()):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs",
-                           _strip(ring, [ring.coerce(c) for c in coeffs]))
+                           _strip([ring.coerce(c) for c in coeffs]))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial instances are immutable")
@@ -341,7 +336,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, ring: CoefficientRing, degree: int, c=1) -> "Polynomial":
         cs = (ring.zero,) * degree + (ring.coerce(c),)
-        return _raw(ring, _strip(ring, cs))
+        return _raw(ring, _strip(cs))
 
     # -- structure
 
@@ -372,7 +367,7 @@ class Polynomial:
         if not self.coeffs:
             raise DomainError("the zero polynomial has no x-adic valuation")
         for i, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
+            if c:
                 return i
         raise AssertionError("unnormalized polynomial")  # pragma: no cover
 
@@ -404,7 +399,7 @@ class Polynomial:
         for i, c in enumerate(b):
             if c:
                 out[i] = ring.add(out[i], c)
-        return _raw(ring, _strip(ring, out))
+        return _raw(ring, _strip(out))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -432,19 +427,12 @@ class Polynomial:
         if self.coeffs and self.x_valuation == self.degree:
             return Polynomial.monomial(self.ring, self.degree * k,
                                        self.ring.pow(self.lc, k))
-        result = Polynomial.one(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(operator.mul, Polynomial.one(self.ring), self, k)
 
     def scale(self, c) -> "Polynomial":
         ring = self.ring
         c = ring.coerce(c)
-        return _raw(ring, _strip(ring, [ring.mul(c, u) for u in self.coeffs]))
+        return _raw(ring, _strip([ring.mul(c, u) for u in self.coeffs]))
 
     def _coerce_operand(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -481,7 +469,7 @@ class Polynomial:
         ring = self.ring
         out = [ring.mul(ring.coerce(i), c)
                for i, c in enumerate(self.coeffs) if i > 0]
-        return _raw(ring, _strip(ring, out))
+        return _raw(ring, _strip(out))
 
     def specialize(self, value) -> "Polynomial":
         """Substitute a rational value for the parameter a (Q[a] -> Q)."""
@@ -542,9 +530,7 @@ class Polynomial:
     # -- presentation
 
     def to_text(self) -> str:
-        return _format_terms(self.coeffs, "x", self.ring.format,
-                             parenthesize=self.ring is QA,
-                             is_zero=self.ring.is_zero)
+        return _format_terms(self.coeffs, "x", self.ring.format)
 
     def __repr__(self):
         return f"<{self.to_text()} over {self.ring!r}>"
@@ -589,9 +575,10 @@ def _iterates(f: Polynomial, needed: set[int]) -> dict[int, Polynomial]:
     return table
 
 
-def _strip(ring: CoefficientRing, cs: list) -> tuple:
+def _strip(cs: Sequence) -> tuple:
+    """cs without its trailing zeros, which are falsy in every ring."""
     n = len(cs)
-    while n and ring.is_zero(cs[n - 1]):
+    while n and not cs[n - 1]:
         n -= 1
     return tuple(cs[:n])
 
@@ -679,13 +666,11 @@ def _clear_denominators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _to_fractions(ints: list[int], den: int) -> tuple:
     """The stripped tuple of ints[k] / den; only nonzero entries build."""
-    n = len(ints)
-    while n and not ints[n - 1]:
-        n -= 1
+    ints = _strip(ints)
     zero = QQ.zero
     if den == 1:
-        return tuple([Fraction(c) if c else zero for c in ints[:n]])
-    return tuple([Fraction(c, den) if c else zero for c in ints[:n]])
+        return tuple([Fraction(c) if c else zero for c in ints])
+    return tuple([Fraction(c, den) if c else zero for c in ints])
 
 
 def _mul_coeffs_q(a: tuple, b: tuple) -> tuple:
@@ -720,7 +705,7 @@ def _flatten(coeffs: tuple, width: int) -> tuple[list[int], int]:
 
 
 def _mul_coeffs_fp(a: tuple, b: tuple, p: int) -> tuple:
-    return _strip(_ZZ, [c % p for c in _convolve(a, b)])
+    return _strip([c % p for c in _convolve(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +750,7 @@ def _divmod_fp(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
             base = k - dd
             for i, di in terms:
                 rem[base + i] -= c * di
-    return tuple(quot), _strip(_ZZ, [c % p for c in rem[:dd]])
+    return tuple(quot), _strip([c % p for c in rem[:dd]])
 
 
 def _divmod_generic(ring: CoefficientRing, num: tuple,
@@ -778,7 +763,7 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
     quot = [ring.zero] * (len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
         c = rem[k]
-        if ring.is_zero(c):
+        if not c:
             continue
         try:
             c = ring.exact_div(c, lead)
@@ -789,20 +774,17 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
         quot[k - dd] = c
         for i in range(dd + 1):
             rem[k - dd + i] = ring.sub(rem[k - dd + i], ring.mul(c, den[i]))
-    return _strip(ring, quot), _strip(ring, rem[:dd])
+    return _strip(quot), _strip(rem[:dd])
 
 
 # ---------------------------------------------------------------------------
 # contents, primitive parts, gcd
 
 def _q_clear_content(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """Write a rational coefficient list as scalar * primitive-int list."""
+    """Write a nonzero rational coefficient list as scalar * primitive ints."""
     ints, den = _clear_denominators(coeffs)
-    g = math.gcd(*ints)
-    if g == 0:
-        return [], Fraction(0)
-    ints = [c // g for c in ints]
-    return ints, Fraction(g, den)
+    primitive = _int_primitive(ints)
+    return primitive, Fraction(ints[-1] // primitive[-1], den)
 
 
 def _int_primitive(cs: Sequence[int]) -> list[int]:
@@ -927,7 +909,8 @@ def _prs_resultant(a: list, b: list, ring: CoefficientRing):
     if len(a) == 1:
         return ring.one  # two nonzero constants
     if len(b) == 1:
-        return _apply_sign(ring, ring.pow(b[0], len(a) - 1), sign)
+        value = ring.pow(b[0], len(a) - 1)
+        return ring.neg(value) if sign < 0 else value
     g = h = ring.one
     while True:
         da, db = len(a) - 1, len(b) - 1
@@ -949,11 +932,7 @@ def _prs_resultant(a: list, b: list, ring: CoefficientRing):
             break
     da = len(a) - 1
     final = ring.exact_div(ring.pow(b[0], da), ring.pow(h, da - 1))
-    return _apply_sign(ring, final, sign)
-
-
-def _apply_sign(ring: CoefficientRing, value, sign: int):
-    return ring.neg(value) if sign < 0 else value
+    return ring.neg(final) if sign < 0 else final
 
 
 def resultant(p: Polynomial, q: Polynomial):
@@ -1100,14 +1079,13 @@ def _parse_qa_coefficient(text: str) -> tuple:
     return poly.coeffs[0] if poly.coeffs else ()
 
 
-def _format_terms(coeffs: Sequence, var: str, fmt, parenthesize: bool,
-                  is_zero=lambda c: not c) -> str:
-    if not coeffs or all(is_zero(c) for c in coeffs):
+def _format_terms(coeffs: Sequence, var: str, fmt) -> str:
+    if not any(coeffs):
         return "0"
     parts: list[str] = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if is_zero(c):
+        if not c:
             continue
         body = fmt(c)
         sign = "+"

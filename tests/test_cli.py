@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dynlab
+from dynlab import dynatomic
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
 from dynlab.characters import Character, covers, unit_group
 from dynlab.cli import main, scan_csv, scan_rows, scan_svg
@@ -85,6 +86,17 @@ class TestDynatomicCommand:
         assert code == 0
         assert json.loads(out)["json"]["p"] == 5
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--m", "1"), "--m and --n go together\n"),
+        ((), "need --d or --m/--n\n"),
+    ], ids=["m_without_n", "no_index"])
+    def test_missing_index_exit_one(self, capsys, argv, message):
+        code = main(["dynatomic", "--f", "x^2+1", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == message
+
 
 class TestRelationCommand:
     def test_admissible_verified_exit_zero(self, capsys, tmp_path):
@@ -117,6 +129,26 @@ class TestRelationCommand:
                                 "--force", "--specialize", value)
             assert code == 2  # tuple stays non-admissible
             assert "divides" in out
+
+    def test_falsified_admissible_tuple_exit_four(self, capsys, monkeypatch):
+        # no admissible tuple is known to fail, so the family leg is made
+        # to fail while the three random legs keep their evidence
+        real = dynatomic.verify_relation
+
+        def falsify_family_leg(t, f, **kwargs):
+            evidence = real(t, f, **kwargs)
+            if kwargs.get("seed") is not None:
+                return evidence
+            return evidence._replace(divides=False, cofactor_degree=None,
+                                     remainder_degree=0)
+
+        monkeypatch.setattr(dynatomic, "verify_relation", falsify_family_leg)
+        code, out = run_cli(capsys, "relation", "--m", "1", "--n", "2",
+                            "--c", "1", "--d", "3", "--trials", "3")
+        assert code == 4
+        assert "admissible: True" in out
+        assert "x^2+a: remainder of degree 0" in out
+        assert out.endswith("  evidence: 3/4 divide\n")
 
     def test_json_output_deterministic(self, capsys):
         argv = ("relation", "--m", "1", "--n", "1", "--c", "0", "--d", "2",
@@ -280,6 +312,15 @@ class TestErrorHandling:
         assert code == 1
         assert captured.out == ""
         assert "--specialize" in captured.err
+
+    def test_specialize_needs_the_parameter_a(self, capsys):
+        code = main(["relation", "--m", "1", "--n", "2", "--c", "1", "--d", "3",
+                     "--specialize", "b=1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: --specialize expects a=<rational>, "
+                                "e.g. a=-5/4\n")
 
     def test_zero_denominator_is_one_line_error(self, capsys):
         code = main(["relation", "--m", "1", "--n", "2", "--c", "1", "--d", "3",

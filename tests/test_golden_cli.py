@@ -32,6 +32,9 @@ CASES = [
     ("cyclo_necklace_1100", ["cyclo-factors", "--necklace", "1100"], 0, []),
     ("cyclo_poly_json",
      ["cyclo-factors", "--poly", "x^3 - x", "--format", "json"], 0, []),
+    # phi(221) = 192, a size the cyclo benchmark draws
+    ("cyclo_shifted_221_json",
+     ["cyclo-factors", "--shifted", "221", "--format", "json"], 0, []),
     ("dynatomic_x2a_d2", ["dynatomic", "--f", "x^2+a", "--d", "2"], 0, []),
     ("dynatomic_x3p1_m1_n1",
      ["dynatomic", "--f", "x^3+1", "--m", "1", "--n", "1"], 0, []),

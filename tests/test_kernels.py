@@ -111,7 +111,7 @@ def ring_loop_mul(ring, a, b):
             if ai and bj:
                 out[i + j] = ring.add(out[i + j], mul(ai, bj))
     n = len(out)
-    while n and ring.is_zero(out[n - 1]):
+    while n and not out[n - 1]:
         n -= 1
     return tuple(out[:n])
 
@@ -134,7 +134,7 @@ def rand_poly(rng, ring, length, bits):
 def assert_canonical(poly):
     cs = poly.coeffs
     assert isinstance(cs, tuple)
-    assert not cs or not poly.ring.is_zero(cs[-1])
+    assert not cs or cs[-1]
     for c in cs:
         if poly.ring is QQ:
             assert type(c) is Fraction

@@ -6,8 +6,9 @@ library serves.  Operand lengths are drawn on both sides of
 schoolbook loop and, where enough coefficients are nonzero, the Kronecker
 kernel.  The pseudo-remainder behind ``resultant`` and ``poly_gcd`` must
 leave lc(b)^(da-db+1) * a minus itself divisible by b, with degree below
-deg b, over Z, F_p and Q[a].  Examples are derandomized, so every run draws
-the same inputs.
+deg b, over Z, F_p and Q[a].  A coerced ring element must be falsy exactly
+when it is zero, since that truth test is the rings' only zero test.
+Examples are derandomized, so every run draws the same inputs.
 """
 
 import json
@@ -189,5 +190,62 @@ def test_json_round_trip(ring, coeff):
         data = json.loads(json.dumps(p.to_json_dict()))
         back = Polynomial.from_json_dict(data)
         assert back.ring == ring and back == p
+
+    run()
+
+
+def scalar_cases(numerators, denominators, is_zero):
+    """(value, zero in the ring?) for ints, Fractions n/d and strings "n/d"."""
+    pairs = st.tuples(numerators, denominators)
+    return st.one_of(
+        numerators.map(lambda n: (n, is_zero(n))),
+        pairs.map(lambda nd: (Fraction(*nd), is_zero(nd[0]))),
+        pairs.map(lambda nd: (f"{nd[0]}/{nd[1]}", is_zero(nd[0]))))
+
+
+def param_text(cs):
+    return " + ".join(f"({c})*a^{i}" for i, c in enumerate(cs)) or "0"
+
+
+big_ints = st.one_of(st.just(0), st.integers(-10**30, 10**30))
+small_ints = st.integers(-9, 9)
+positive = st.integers(1, 10**6)
+zero_heavy = st.one_of(rationals, st.just(Fraction(0)), st.just(0))
+param_cases = st.one_of(
+    scalar_cases(big_ints, positive, lambda n: n == 0),
+    # tuples with trailing zeros, which coerce strips
+    st.tuples(st.lists(zero_heavy, max_size=4), st.integers(0, 3)).map(
+        lambda ck: (tuple(ck[0]) + (0,) * ck[1], not any(ck[0]))),
+    # strings such as "a - a": the text itself, and minus itself
+    st.lists(small_ints, max_size=4).map(
+        lambda cs: (param_text(cs), not any(cs))),
+    st.lists(small_ints, max_size=4).map(
+        lambda cs: (f"{param_text(cs)} - ({param_text(cs)})", True)),
+    st.just(("a - a", True)),
+    st.just(("(a + 1)^2 - a^2 - 2*a", False)),
+)
+
+
+def fp_cases(p):
+    # multiples of p are zero; a denominator prime to p is invertible
+    numerators = st.one_of(big_ints, big_ints.map(lambda n: n * p))
+    return scalar_cases(numerators, positive.filter(lambda d: d % p),
+                        lambda n: n % p == 0)
+
+
+@pytest.mark.parametrize("ring,cases", [
+    (QQ, scalar_cases(big_ints, positive, lambda n: n == 0)),
+    *[(PrimeField(p), fp_cases(p)) for p in (2, 7121, 2**61 - 1)],
+    (QA, param_cases),
+], ids=["Q", "F_2", "F_7121", "F_mersenne61", "Qa"])
+def test_coerced_element_is_falsy_exactly_when_zero(ring, cases):
+    @settings(deterministic, max_examples=200)
+    @given(cases)
+    def run(case):
+        value, zero = case
+        element = ring.coerce(value)
+        assert bool(element) is not zero, (value, element)
+        if isinstance(ring, PrimeField):
+            assert 0 <= element < ring.p
 
     run()
