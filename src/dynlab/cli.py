@@ -80,10 +80,6 @@ def _cmd_necklace(args) -> int:
 
 # -- cyclo-factors ----------------------------------------------------------
 
-def _scan_payload(poly: Polynomial) -> dict:
-    return cyclo_factor_scan(poly).to_json_dict()
-
-
 def _format_scan_text(name: str, report_dict: dict) -> str:
     cyclo = " ".join(
         f"Phi_{entry['n']}" + (f"^{entry['mult']}" if entry["mult"] > 1 else "")
@@ -99,33 +95,28 @@ def _cmd_cyclo_factors(args) -> int:
         sys.stderr.write("choose exactly one of --poly / --necklace / "
                          "--shifted / --both\n")
         return 1
-    if args.both is not None:
-        reports = {
-            "necklace": _scan_payload(necklace_poly(args.both).scale(args.both)),
-            "shifted_cyclotomic": _scan_payload(cyclotomic_poly(args.both) - 1),
-        }
-        if args.format == "json":
-            _emit(_dump_json({"d": args.both, **reports}))
-        else:
-            _emit(_format_scan_text(f"{args.both}*M_{args.both}",
-                                    reports["necklace"]))
-            _emit(_format_scan_text(f"Phi_{args.both} - 1",
-                                    reports["shifted_cyclotomic"]))
-        return 0
+    both = args.both
+    necklace = args.necklace if both is None else both
+    shifted = args.shifted if both is None else both
+    # (JSON key, text name, polynomial), one entry per scan, in output order
+    scans = []
     if args.poly is not None:
-        poly = parse_polynomial(args.poly, QQ)
-        name = args.poly
-    elif args.necklace is not None:
-        poly = necklace_poly(args.necklace).scale(args.necklace)
-        name = f"{args.necklace}*M_{args.necklace}"
+        scans.append(("poly", args.poly, parse_polynomial(args.poly, QQ)))
+    if necklace is not None:
+        scans.append(("necklace", f"{necklace}*M_{necklace}",
+                      necklace_poly(necklace).scale(necklace)))
+    if shifted is not None:
+        scans.append(("shifted_cyclotomic", f"Phi_{shifted} - 1",
+                      cyclotomic_poly(shifted) - 1))
+    reports = [(key, name, cyclo_factor_scan(poly).to_json_dict())
+               for key, name, poly in scans]
+    if args.format == "text":
+        for _, name, report in reports:
+            _emit(_format_scan_text(name, report))
+    elif both is None:
+        _emit(_dump_json(reports[0][2]))
     else:
-        poly = cyclotomic_poly(args.shifted) - 1
-        name = f"Phi_{args.shifted} - 1"
-    report = _scan_payload(poly)
-    if args.format == "json":
-        _emit(_dump_json(report))
-    else:
-        _emit(_format_scan_text(name, report))
+        _emit(_dump_json({"d": both, **{key: r for key, _, r in reports}}))
     return 0
 
 

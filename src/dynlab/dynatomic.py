@@ -20,7 +20,7 @@ and D alone:
 1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences.
    Dividing D out of each factor it divides gives Phi_{f,c,d} * Dn' =
    D**s * N', where s counts those factors in N less those in Dn.  When
-   2 deg D < deg Phi_{f,c,d} such a factor F enters N' or Dn' as
+   2 deg D < deg Phi_{f,c,d} <= cap such a factor F enters N' or Dn' as
    F / D mod D, read off the iterates up to f**(c+d) mod D**2; otherwise
    it stays 0 mod D, so s != 0 or Dn' = 0 and the leg is left open.  If
    s = 0 and Res(D, Dn') != 0, D is prime to Dn' (over Q(a) for Q[a]), so
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import cyclotomic_poly
@@ -224,11 +223,11 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     leg if it can (see the module docstring): by N' = Dn' mod D, or by
     N' / Dn' mod D.  Otherwise Phi_{f,c,d} is built and divided.  The cap
     (5000, or DYNLAB_DEGREE_CAP) bounds what is built.  It is checked for
-    D before anything is built, and for Phi_{f,c,d} before the iterates
-    mod D**2, whose c + d compositions it bounds, and before the full
-    construction.  Each refusal is a ResourceLimitError.  A leg that the
-    pass decides with no factor 0 mod D builds neither, so it may answer
-    past the cap.
+    D before anything is built, and for Phi_{f,c,d} before the full
+    construction; the iterates mod D**2, whose c + d compositions it
+    bounds, are built only within it.  Each refusal is a
+    ResourceLimitError.  A leg that the pass decides with no factor 0 mod
+    D builds neither, so it may answer past the cap.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
@@ -274,7 +273,8 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     f**(c+d/e) - f**c (and, for c >= 1, those at c - 1 with the opposite
     sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N exactly.
     Only the factors that are 0 mod D are lifted, and the iterates mod
-    D**2 are built only when there is one.
+    D**2 are built only when there is one and deg Phi_{f,c,d} is within
+    the cap; a factor left 0 mod D leaves the leg to verify_relation.
     """
     ring = f.ring
     index = PsiQuotient(t.m, t.n).reduce_index
@@ -285,8 +285,7 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     reduced = [residues[index(i)] - residues[index(j)] for i, j, _ in factors]
     top = generalized_dynatomic_degree(f.degree, t.c, t.d)
     lifts = None
-    if 2 * divisor.degree < top and any(factor.is_zero for factor in reduced):
-        _check_cap(f.degree, t.c, t.d, cap)
+    if 2 * divisor.degree < top <= cap and any(r.is_zero for r in reduced):
         lifts = _residues(f, divisor * divisor, t.c + t.d)
     num = den = Polynomial.one(ring)
     order = 0
@@ -302,7 +301,7 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     # Euclid on D and Dn' takes about deg(D)**2 field operations, so the
     # inverse is taken only below deg Phi_{f,c,d}: past it, inverting can
     # cost more than building in full
-    invert = divisor.degree ** 2 < top and ring is not QA
+    invert = divisor.degree ** 2 < top and ring.is_field
     if (not order and not den.is_zero and (num == den or invert)
             and resultant(divisor, den)):
         if num == den:
@@ -391,7 +390,7 @@ def fixed_point_identity(f: Polynomial, alpha, d: int):
     _require_dynamical(f)
     if d < 2:
         raise DomainError("the fixed-point identity needs d >= 2")
-    alpha = Fraction(alpha)
+    alpha = QQ.coerce(alpha)
     if f.evaluate(alpha) != alpha:
         raise DomainError(f"{alpha} is not a fixed point of {f.to_text()}")
     lhs = dynatomic_poly(f, d).evaluate(alpha)

@@ -13,11 +13,13 @@ Three coefficient rings are supported:
   Such a tuple is a Q coefficient vector in ``a``, so Q[a] multiplies and
   divides its elements with the same kernels as Q[x].
 
-Each ring is a ``CoefficientRing``, the one arithmetic protocol.  It serves
-both the polynomial arithmetic and the subresultant remainder sequences
-behind ``resultant`` and ``poly_gcd``; over Q those sequences run on a
-private integer ring after clearing denominators.  Its only zero test is
-the truth test: a ring element is falsy exactly when it is zero.
+Each ring is a ``CoefficientRing``, the one arithmetic protocol: coerce,
+add, neg, mul, exact_div, pow and format, with no subtraction of its own
+(the division loop adds the negated quotient term).  It serves both the
+polynomial arithmetic and the subresultant remainder sequences behind
+``resultant`` and ``poly_gcd``; over Q those sequences run on a private
+integer ring after clearing denominators.  Its only zero test is the truth
+test: a ring element is falsy exactly when it is zero.
 
 Polynomial products in every ring run on one integer kernel, ``_convolve``.
 It multiplies by Kronecker substitution: each signed integer operand is
@@ -88,9 +90,6 @@ class CoefficientRing:
     def add(self, u, v):
         raise NotImplementedError
 
-    def sub(self, u, v):
-        raise NotImplementedError
-
     def mul(self, u, v):
         raise NotImplementedError
 
@@ -128,9 +127,6 @@ class Rationals(CoefficientRing):
     def add(self, u, v):
         return u + v
 
-    def sub(self, u, v):
-        return u - v
-
     def mul(self, u, v):
         return u * v
 
@@ -150,7 +146,7 @@ class Rationals(CoefficientRing):
 class _Integers(Rationals):
     """Z on plain ints: the Q resultant and gcd clear denominators into it.
 
-    Q's add, sub, mul and neg serve ints unchanged; only the
+    Q's add, mul and neg serve ints unchanged; only the
     checked division and the power differ.  Arithmetic only; no polynomial
     is ever built over it.
     """
@@ -197,14 +193,11 @@ class PrimeField(CoefficientRing):
                     f"denominator of {value} is not invertible mod {self.p}")
             return value.numerator * pow(den, -1, self.p) % self.p
         if isinstance(value, str):
-            return self.coerce(Fraction(value))
+            return self.coerce(QQ.coerce(value))
         raise DomainError(f"cannot interpret {value!r} mod {self.p}")
 
     def add(self, u, v):
         return (u + v) % self.p
-
-    def sub(self, u, v):
-        return (u - v) % self.p
 
     def mul(self, u, v):
         return u * v % self.p
@@ -249,7 +242,7 @@ class ParamRing(CoefficientRing):
 
     def coerce(self, value) -> tuple:
         if isinstance(value, tuple):
-            return _strip([Fraction(c) for c in value])
+            return _strip([QQ.coerce(c) for c in value])
         if isinstance(value, (int, Fraction)):
             c = Fraction(value)
             return (c,) if c else ()
@@ -264,9 +257,6 @@ class ParamRing(CoefficientRing):
         for i, c in enumerate(v):
             out[i] += c
         return _strip(out)
-
-    def sub(self, u, v):
-        return self.add(u, self.neg(v))
 
     def mul(self, u, v):
         return _mul_coeffs(QQ, u, v)
@@ -475,7 +465,7 @@ class Polynomial:
         """Substitute a rational value for the parameter a (Q[a] -> Q)."""
         if self.ring is not QA:
             raise DomainError("specialize() applies to ParamRing polynomials")
-        v = Fraction(value)
+        v = QQ.coerce(value)
         return Polynomial(QQ, [_raw(QQ, c).evaluate(v) for c in self.coeffs])
 
     def lift_to_param_ring(self) -> "Polynomial":
@@ -720,8 +710,6 @@ def _divmod_q(num: tuple, den: tuple) -> tuple[tuple, tuple]:
         rem = [int(c) for c in num]
         d = [int(c) for c in den]
         dd = len(d) - 1
-        if len(rem) - 1 < dd:
-            return (), tuple(num)
         quot = [0] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             c = rem[k]
@@ -737,8 +725,6 @@ def _divmod_fp(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
     # Remainder entries run unreduced (each is below (deg den + 1) * p**2 in
     # size) and are reduced mod p only when the loop consumes them.
     dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return (), tuple(num)
     inv = pow(den[-1], -1, p)
     terms = [(i, di) for i, di in enumerate(den[:-1]) if di]
     rem = list(num)
@@ -758,8 +744,6 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
     dd = len(den) - 1
     lead = den[-1]
     rem = list(num)
-    if len(rem) - 1 < dd:
-        return (), tuple(num)
     quot = [ring.zero] * (len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
         c = rem[k]
@@ -772,8 +756,9 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
                 "leading-coefficient division is not exact in "
                 f"{ring!r}; the quotient leaves the ring") from exc
         quot[k - dd] = c
+        c = ring.neg(c)
         for i in range(dd + 1):
-            rem[k - dd + i] = ring.sub(rem[k - dd + i], ring.mul(c, den[i]))
+            rem[k - dd + i] = ring.add(rem[k - dd + i], ring.mul(c, den[i]))
     return _strip(quot), _strip(rem[:dd])
 
 
@@ -995,25 +980,28 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
-        acc = self.signed_term()
+        acc = self.term()
         while self.peek() in ("+", "-"):
-            acc = acc + self.signed_term()
+            acc = acc + self.term()
         return acc
 
-    def signed_term(self) -> Polynomial:
+    def signs(self) -> int:
+        """Read a run of + and - signs; -1 when it holds an odd number of -."""
         sign = 1
         while self.peek() in ("+", "-"):
             if self.next() == "-":
                 sign = -sign
-        term = self.term()
-        return term if sign == 1 else -term
+        return sign
 
     def term(self) -> Polynomial:
+        # a sign at the start of a term or after * negates the power after it
+        sign = self.signs()
         acc = self.power()
         while self.peek() == "*":
             self.next()
+            sign *= self.signs()
             acc = acc * self.power()
-        return acc
+        return acc if sign == 1 else -acc
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -1036,10 +1024,6 @@ class _Parser:
             return Polynomial.x(QA)
         if tok == "a":
             return Polynomial.constant(QA, QA.param)
-        if tok == "-":
-            return -self.atom()
-        if tok == "+":
-            return self.atom()
         if tok.isdigit():
             value = Fraction(int(tok))
             if self.peek() == "/":

@@ -304,3 +304,20 @@ class TestEquivalenceSweep:
             monkeypatch.setattr(module, name, counted(name))
         assert equivalence_sweep(30, 20) == []
         assert calls == {"covers": 600, "fast_xn1_divides": 600}
+
+
+# Refusals: (call, exception, message fragment)
+REFUSALS = [
+    pytest.param(lambda: covers(0, 5),
+                 DomainError, "covers needs d, n >= 1", id="covers-d0"),
+    pytest.param(lambda: equivalence_sweep(0, 5),
+                 DomainError, "sweep bounds must be >= 1", id="sweep-d0"),
+    pytest.param(lambda: unit_group(0),
+                 DomainError, "modulus must be >= 1", id="unit_group-0"),
+]
+
+
+@pytest.mark.parametrize("call,exc,fragment", REFUSALS)
+def test_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

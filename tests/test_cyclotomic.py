@@ -14,7 +14,7 @@ from dynlab.cyclotomic import (CycloFactorReport, _candidate_cap,
 from dynlab.errors import DomainError
 from dynlab.necklace import fast_xn1_divides, necklace_poly
 from dynlab.numtheory import divisors, euler_phi, factorize, is_prime
-from dynlab.polycore import QQ, Polynomial
+from dynlab.polycore import QQ, Polynomial, PrimeField
 
 X = Polynomial.x(QQ)
 
@@ -269,3 +269,19 @@ class TestScan:
             "cofactor_degree": 0,
             "cofactor_coeffs": ["1"],
         }
+
+
+# Refusals: (call, exception, message fragment)
+REFUSALS = [
+    pytest.param(lambda: xn1_divides(X**2 - 1, 0),
+                 DomainError, "needs n >= 1", id="xn1_divides-n0"),
+    pytest.param(lambda: cyclo_factor_scan(
+                     Polynomial(PrimeField(5), [4, 0, 1])),
+                 DomainError, "expects a rational polynomial", id="scan-F5"),
+]
+
+
+@pytest.mark.parametrize("call,exc,fragment", REFUSALS)
+def test_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

@@ -534,3 +534,35 @@ class TestSquarefreeGenericParameters:
                         gap = f.iterate(m + n) - f.iterate(m)
                         assert poly_gcd(gap, gap.derivative()).degree == 0, \
                             (k, t, m, n)
+
+
+def _degree_cap_from(value):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(dynatomic.DEGREE_CAP_ENV, value)
+        return dynatomic.degree_cap()
+
+
+# Refusals: (call, exception, message fragment)
+REFUSALS = [
+    pytest.param(lambda: dynatomic_poly(F_SQ1, 0),
+                 DomainError, "dynatomic index must be >= 1", id="poly-d0"),
+    pytest.param(lambda: generalized_dynatomic(F_SQ1, -1, 1),
+                 DomainError, "needs m >= 0, n >= 1", id="generalized-m-1"),
+    pytest.param(lambda: telescope_check(F_SQ1, -1, 1),
+                 DomainError, "telescope_check needs m >= 0, n >= 1",
+                 id="telescope-m-1"),
+    pytest.param(lambda: fixed_point_identity(
+                     Polynomial(PrimeField(7), [0, 0, 1]), 1, 3),
+                 DomainError, "checked over Q", id="fixed_point-F7"),
+    pytest.param(lambda: fixed_point_identity(F_SQUARE, 1, 1),
+                 DomainError, "needs d >= 2", id="fixed_point-d1"),
+    pytest.param(lambda: _degree_cap_from("abc"),
+                 DomainError, "DYNLAB_DEGREE_CAP must be an integer",
+                 id="degree_cap-abc"),
+]
+
+
+@pytest.mark.parametrize("call,exc,fragment", REFUSALS)
+def test_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

@@ -28,6 +28,8 @@ CASES = [
     ("necklace_d2_f_x2", ["necklace", "--d", "2", "--f", "x^2"], 0, []),
     ("necklace_d4_f_x2a", ["necklace", "--d", "4", "--f", "x^2+a"], 0, []),
     ("cyclo_both_105", ["cyclo-factors", "--both", "105"], 0, []),
+    ("cyclo_both_105_json",
+     ["cyclo-factors", "--both", "105", "--format", "json"], 0, []),
     # generated once by the trial-division scan, which took 3m43s on it
     ("cyclo_necklace_1100", ["cyclo-factors", "--necklace", "1100"], 0, []),
     ("cyclo_poly_json",

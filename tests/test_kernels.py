@@ -2,7 +2,9 @@
 
 Each kernel is compared with a plain loop kept here as the reference:
 schoolbook convolution for ``_convolve`` and the coefficient-by-coefficient
-ring loop for products over Q, F_p and Q[a].  Inputs are seeded.
+ring loop for products over Q, F_p and Q[a].  Inputs are seeded.  Every
+division kernel returns a zero quotient and the numerator itself when the
+numerator's degree is below the divisor's.
 """
 
 import random
@@ -11,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _SCHOOLBOOK_TERMS,
-                             _convolve, _divmod_fp, _divmod_generic)
+                             _convolve, _divmod_fp, _divmod_generic,
+                             _divmod_q)
 
 PRIMES = (2, 7121, 2**61 - 1)
 
@@ -180,3 +183,26 @@ def test_fp_division(p):
         assert r.degree < den.degree
         assert_canonical(q)
         assert_canonical(r)
+
+
+SHORT_NUMERATORS = [
+    # Z-monic: the integer loop of _divmod_q
+    ("Z-monic", _divmod_q, QQ, [3, -1], [1, 0, 2, 1]),
+    # Q, not monic: _divmod_q hands over to the generic loop
+    ("Q", _divmod_q, QQ, [Fraction(1, 2), 5], [1, 0, 3]),
+    ("Fp", lambda n, d: _divmod_fp(n, d, 7), PrimeField(7), [6, 2], [1, 3, 5]),
+    ("Qa", lambda n, d: _divmod_generic(QA, n, d), QA,
+     [(1, 2), (), (0, 0, 1)], [(1,), (0, 1), (3,), (Fraction(1, 3),)]),
+]
+
+
+@pytest.mark.parametrize("kernel,ring,num,den",
+                         [case[1:] for case in SHORT_NUMERATORS],
+                         ids=[case[0] for case in SHORT_NUMERATORS])
+def test_division_with_a_shorter_numerator(kernel, ring, num, den):
+    num, den = Polynomial(ring, num), Polynomial(ring, den)
+    for n in (num, Polynomial.zero(ring)):
+        assert kernel(n.coeffs, den.coeffs) == ((), n.coeffs)
+        quot, rem = divmod(n, den)
+        assert quot.is_zero and rem == n
+        assert_canonical(rem)

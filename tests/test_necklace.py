@@ -217,3 +217,23 @@ class TestDynamicalNecklace:
             for d in range(1, 5):
                 brute = sum(1 for f in monic_polys(q, d) if is_irreducible(f, q))
                 assert necklace_poly(d).evaluate(q) == brute
+
+
+# Refusals: (call, exception, message fragment)
+REFUSALS = [
+    pytest.param(lambda: necklace_operator(0),
+                 DomainError, "necklace operator index must be >= 1",
+                 id="operator-d0"),
+    pytest.param(lambda: fast_xn1_divides(0, 3),
+                 DomainError, "fast_xn1_divides needs d, n >= 1",
+                 id="fast_xn1_divides-d0"),
+    pytest.param(lambda: dynamical_necklace(X**2, 0),
+                 DomainError, "dynamical necklace index must be >= 1",
+                 id="dynamical-d0"),
+]
+
+
+@pytest.mark.parametrize("call,exc,fragment", REFUSALS)
+def test_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import sylvester_resultant
 from dynlab.errors import DomainError, ExactDivisionError
+from dynlab.dynatomic import fixed_point_identity
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _iterates,
                              is_squarefree, parse_polynomial, poly_gcd,
                              resultant)
@@ -333,8 +334,53 @@ class TestTextAndJson:
             with pytest.raises(DomainError):
                 Polynomial.from_json_dict({"ring": ring.tag, "coeffs": ["1/0"]})
 
+    @pytest.mark.parametrize("text,expected", [
+        ("2*-x^2", -2 * X**2),
+        ("x^2*-1", -X**2),
+        ("2*-x^2*3", -6 * X**2),
+        ("2*--x", 2 * X),
+        ("2*-(x+1)^2", -2 * (X + 1)**2),
+        ("-x^2*+3 - -x", -3 * X**2 + X),
+    ])
+    def test_sign_after_star_negates_the_power(self, text, expected):
+        assert parse_polynomial(text) == expected
+
+    def test_long_product_parses(self):
+        assert parse_polynomial("*".join(["x"] * 2000)) == X**2000
+
     def test_json_shape(self):
         data = parse_polynomial("x^2+a").to_json_dict()
         assert data == {"ring": "Qa", "coeffs": ["a", "0", "1"]}
         data_fp = Polynomial(PrimeField(5), [1, 2]).to_json_dict()
         assert data_fp == {"ring": "Fp", "p": 5, "coeffs": ["1", "2"]}
+
+
+# Refusals: (call, exception, message fragment).  The rational reads refuse
+# floats and zero denominators instead of reading them some other way.
+REFUSALS = [
+    pytest.param(lambda: Polynomial(QA, [(0.1,)]),
+                 DomainError, "cannot interpret 0.1", id="Qa-float"),
+    pytest.param(lambda: PrimeField(7).coerce("1/0"),
+                 DomainError, "zero denominator", id="Fp-zero-den"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Fp", "p": 7, "coeffs": ["1/0"]}),
+                 DomainError, "zero denominator", id="Fp-json-zero-den"),
+    pytest.param(lambda: parse_polynomial("x^2+a").specialize(0.1),
+                 DomainError, "cannot interpret 0.1", id="specialize-float"),
+    pytest.param(lambda: fixed_point_identity(X**2, 1.0, 3),
+                 DomainError, "cannot interpret 1.0", id="fixed_point-float"),
+    pytest.param(lambda: parse_polynomial("(x+1"),
+                 DomainError, "unexpected end", id="parse-end"),
+    pytest.param(lambda: parse_polynomial("(x+1 x"),
+                 DomainError, "unbalanced parentheses", id="parse-unbalanced"),
+    pytest.param(lambda: parse_polynomial("x+1)"),
+                 DomainError, "trailing tokens", id="parse-close"),
+    pytest.param(lambda: parse_polynomial("2 x"),
+                 DomainError, "trailing tokens", id="parse-juxtaposed"),
+]
+
+
+@pytest.mark.parametrize("call,exc,fragment", REFUSALS)
+def test_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

@@ -6,8 +6,9 @@ library serves.  Operand lengths are drawn on both sides of
 schoolbook loop and, where enough coefficients are nonzero, the Kronecker
 kernel.  The pseudo-remainder behind ``resultant`` and ``poly_gcd`` must
 leave lc(b)^(da-db+1) * a minus itself divisible by b, with degree below
-deg b, over Z, F_p and Q[a].  A coerced ring element must be falsy exactly
-when it is zero, since that truth test is the rings' only zero test.
+deg b, over Z, F_p and Q[a].  A sign after ``*`` negates the power that
+follows it.  A coerced ring element must be falsy exactly when it is zero,
+since that truth test is the rings' only zero test.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -167,6 +168,14 @@ def test_pseudo_remainder_over_param_ring():
 def test_text_round_trip_over_q(coeffs):
     p = Polynomial(QQ, coeffs)
     assert parse_polynomial(p.to_text(), QQ) == p
+
+
+@deterministic
+@given(st.lists(rationals, max_size=6), st.lists(rationals, max_size=6))
+def test_sign_after_star_negates_the_power_over_q(p_coeffs, q_coeffs):
+    p, q = Polynomial(QQ, p_coeffs), Polynomial(QQ, q_coeffs)
+    text = f"({p.to_text()})*-({q.to_text()})^2"
+    assert parse_polynomial(text, QQ) == -(p * q**2)
 
 
 @deterministic
