@@ -29,7 +29,6 @@ from .errors import DomainError, ResourceLimitError
 from .cyclotomic import cyclotomic_poly
 from .necklace import fast_xn1_divides
 from .numtheory import euler_phi, factorize, squarefree_divisors
-from .polycore import QQ, Polynomial
 
 PHI_CAP = 10**6
 
@@ -262,8 +261,10 @@ def _char_kills_sum(chi: Character, entries: dict[int, int],
                     m: int) -> bool:
     """Exact test of sum(coeff * chi(lift(w))) = 0 over the stratum entries.
 
-    The values are roots of unity of order dividing the group exponent L;
-    the sum is reduced as an integer polynomial modulo the Lth cyclotomic.
+    The values are roots of unity of order dividing the group exponent L, so
+    the sum is the integer polynomial sum(coeff * x**angle) at zeta_L.  It
+    vanishes exactly when that polynomial is 0 modulo Phi_L, which is monic
+    with integer coefficients, so the reduction runs on integers.
     """
     group = chi.group
     L = group.exponent
@@ -271,10 +272,22 @@ def _char_kills_sum(chi: Character, entries: dict[int, int],
     for w, coeff in entries.items():
         u = _lift_unit(w, m, group.modulus)
         acc[chi._angle_numerator(group.dlog_of(u))] += coeff
-    poly = Polynomial(QQ, acc)
-    if poly.is_zero:
-        return True
-    return (poly % cyclotomic_poly(L)).is_zero
+    deg, lower = _cyclotomic_ints(L)
+    for top in range(L - 1, deg - 1, -1):
+        c = acc[top]
+        if c:
+            for j, b in lower:
+                acc[top - deg + j] -= c * b
+    return not any(acc[:deg])
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_ints(L: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_L, and (j, c) for each nonzero coefficient c of x**j in Phi_L
+    below the leading one."""
+    phi = cyclotomic_poly(L).coeffs
+    deg = len(phi) - 1
+    return deg, tuple((j, int(c)) for j, c in enumerate(phi[:deg]) if c)
 
 
 def _angle_table(group: UnitGroup, q: int) -> list[int]:

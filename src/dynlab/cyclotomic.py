@@ -13,12 +13,22 @@ floor(D * R(r(K))), r(K) the largest r whose primorial is <= K, until it
 stops shrinking; every step is exact integer and Fraction arithmetic.
 
 Before an exact division by Phi_k, each candidate passes a modular filter:
-with P an integer multiple of the cofactor, q a prime with q = 1 (mod k)
-and w of exact order k modulo q, Phi_k(w) = 0 (mod q).  Phi_k is monic with
-integer coefficients, so Phi_k | P in Q[x] gives P = Phi_k * Q with Q in
-Z[x], hence P(w) = 0 (mod q).  A nonzero P(w) mod q therefore proves that
-Phi_k does not divide the cofactor; a zero value only sends k on to the
-exact division, so the filter never changes an answer.
+with P an integer polynomial that is a multiple of the cofactor in Q[x], q
+a prime with q = 1 (mod k) and w of exact order k modulo q, Phi_k(w) = 0
+(mod q).  Phi_k is monic with integer coefficients, so Phi_k | P in Q[x]
+gives P = Phi_k * Q with Q in Z[x], hence P(w) = 0 (mod q).  A nonzero
+P(w) mod q therefore proves that Phi_k does not divide the cofactor; a zero
+value only sends k on to the exact division, so the filter never changes
+an answer.
+
+The cofactor divides the x-stripped input, so P may clear the denominators
+of either; the filter evaluates whichever has fewer nonzero terms, by Horner
+across the gaps between them (d * M_d has 2**omega(d) nonzero terms, its
+cofactor about d).  After each successful division the new cofactor itself
+is filtered before Phi_k is tried again.  Candidates share roots of unity:
+each k takes the largest candidate K divisible by k, and w_K**(K/k) has
+exact order k modulo q_K, so one prime search serves every divisor of K.
+A scan makes at most one search per candidate it tests.
 """
 
 from __future__ import annotations
@@ -127,11 +137,13 @@ def _root_of_unity_mod_prime(k: int) -> tuple[int, int]:
     """The least prime q = 1 (mod k) above 2**29 and a w of exact order k
     mod q.
 
-    q lies far below 3.3 * 10**24, where ``is_prime`` is a proof.  Near 2**29
-    q and w fit one CPython digit: for the 2134 candidates of degree 1100
-    this search took 0.12 s and the Horner evaluations 0.30 s, against 0.51
-    and 0.60 s above 2**61 (CPython 3.11, 2 vCPU).  A nonzero P(w) mod q
-    still rules k out; a chance zero costs one exact division.
+    q lies far below 3.3 * 10**24, where ``is_prime`` is a proof, and near
+    2**29 q and w fit one CPython digit and ``is_prime`` runs four bases.
+    The scan of 1100 * M_1100 tests 1832 of its 2134 candidates; their roots
+    come from 601 searches, which take 0.02 s near 2**29 and 0.17 s above
+    2**61, and the Horner evaluations of its 8-term input take 0.01 s
+    (CPython 3.11, 2 vCPU).  A nonzero P(w) mod q still rules k out; a
+    chance zero costs one exact division.
     """
     q = k * (2**29 // k + 1) + 1
     while not is_prime(q):
@@ -143,13 +155,27 @@ def _root_of_unity_mod_prime(k: int) -> tuple[int, int]:
             return q, w
 
 
-def _vanishes_mod(coeffs_desc: list[int], k: int) -> bool:
-    """Is P(w) = 0 (mod q), with (q, w) from ``_root_of_unity_mod_prime(k)``
-    and P given by its integer coefficients from the top degree down?"""
-    q, w = _root_of_unity_mod_prime(k)
+def _shared_root(k: int, owner: int) -> tuple[int, int]:
+    """(q, w) with w of exact order k mod q, from the root for a multiple
+    ``owner`` of k."""
+    q, w = _root_of_unity_mod_prime(owner)
+    return q, pow(w, owner // k, q)
+
+
+def _terms(poly: Polynomial) -> list[tuple[int, int]]:
+    """The nonzero coefficients of an integer multiple of poly from the top
+    degree down, each with the gap to the next lower nonzero degree (to 0
+    after the last)."""
+    ints = _clear_denominators(poly.coeffs)[0]
+    exps = [e for e, c in enumerate(ints) if c][::-1]
+    return [(ints[e], e - low) for e, low in zip(exps, exps[1:] + [0])]
+
+
+def _vanishes_mod(terms: list[tuple[int, int]], q: int, w: int) -> bool:
+    """Is P(w) = 0 (mod q), for P given by ``_terms``?"""
     acc = 0
-    for c in coeffs_desc:
-        acc = (acc * w + c) % q
+    for c, gap in terms:
+        acc = (acc + c) * (w if gap == 1 else pow(w, gap, q)) % q
     return acc == 0
 
 
@@ -185,11 +211,19 @@ def cyclo_factor_scan(p: Polynomial) -> CycloFactorReport:
     x_mult = p.x_valuation
     cofactor = Polynomial(QQ, p.coeffs[x_mult:])
     candidates = cyclotomic_candidates(cofactor.degree)
-    phi = _totients_up_to(candidates[-1] if candidates else 1)
-    integral = _clear_denominators(cofactor.coeffs)[0][::-1]
+    top = candidates[-1] if candidates else 1
+    phi = _totients_up_to(top)
+    max_phi = cofactor.degree
+    input_terms = terms = _terms(cofactor)
     found: list[tuple[int, int]] = []
     for k in candidates:
-        if phi[k] > cofactor.degree or not _vanishes_mod(integral, k):
+        if phi[k] > cofactor.degree:
+            continue
+        # the largest candidate divisible by k
+        owner = next(m for m in range(top - top % k, 0, -k)
+                     if phi[m] <= max_phi)
+        q, w = _shared_root(k, owner)
+        if not _vanishes_mod(terms, q, w):
             continue
         phi_k = cyclotomic_poly(k)
         mult = 0
@@ -197,12 +231,14 @@ def cyclo_factor_scan(p: Polynomial) -> CycloFactorReport:
         while rem.is_zero:
             mult += 1
             cofactor = quot
-            if cofactor.degree < phi_k.degree:
+            cofactor_terms = _terms(cofactor)
+            if (cofactor.degree < phi_k.degree
+                    or not _vanishes_mod(cofactor_terms, q, w)):
                 break
             quot, rem = divmod(cofactor, phi_k)
         if mult:
             found.append((k, mult))
-            integral = _clear_denominators(cofactor.coeffs)[0][::-1]
+            terms = min(input_terms, cofactor_terms, key=len)
     return CycloFactorReport(
         input_degree=input_degree,
         x_multiplicity=x_mult,

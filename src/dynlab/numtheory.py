@@ -7,9 +7,11 @@ honest: trial division by the primes below 1000, then ``is_prime`` and
 Brent's variant of Pollard rho with a fixed iteration schedule on the
 cofactor.  A cofactor below 10**6 is then prime, and ``is_prime`` is a proof
 for every larger one below 3.3 * 10**24 (about 2**81), which covers the
-cofactors below 10**12 that trial division to 10**6 used to prove.  Above
-that, up to the cap, ``is_prime`` is a strong-pseudoprime test with no known
-counterexample, not a proof.
+cofactors below 10**12 that trial division to 10**6 used to prove.  It runs
+the smallest base set proven for the size of n (Jaeschke; Jiang & Deng;
+Sorenson & Webster), so a prime near 2**29 costs four modular powers.
+Above 3.3 * 10**24, up to the cap, ``is_prime`` is a strong-pseudoprime test
+with no known counterexample, not a proof.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ INPUT_BIT_CAP = 128
 # and 0.68 / 0.63 / 0.67 s over the grid benchmark (2.2 s at 10**6).
 _TRIAL_BOUND = 1000
 
-# Strong-pseudoprime bases: the first 13 primes are a proven witness set below
-# psi_13 = 3317044064679887385961981 (about 3.3 * 10**24; Sorenson & Webster),
-# the least strong pseudoprime to all of them, so below it they run alone.
-# From psi_13 on no witness set is proven; the extra primes only make a
-# composite passing all of them unlikely (none is known), they do not make
-# the test a proof.
+# Strong-pseudoprime bases.  Below psi_j, the least strong pseudoprime to the
+# first j primes, those j bases are a proof: psi_13 is _MR_PROVEN_BELOW and
+# the smaller psi_j are keyed by j.  From psi_13 on no witness set is proven;
+# the extra primes only make a composite passing all of them unlikely (none
+# is known), they do not make the test a proof.
 _MR_PROVEN_BELOW = 3317044064679887385961981
+_MR_PREFIX_PROVEN_BELOW = {4: 3215031751, 7: 341550071728321,
+                           9: 3825123056546413051,
+                           12: 318665857834031151167461}
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
              43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
@@ -83,7 +87,13 @@ class Factorization(_FactorizationFields):
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin with fixed bases: a proof of primality for n below
-    3.3 * 10**24 (about 2**81), a strong probable-prime test above it."""
+    3.3 * 10**24 (about 2**81), a strong probable-prime test above it.
+
+    The bases are the first j primes for the least j in 4, 7, 9, 12, 13
+    with n below psi_j: psi_4 = 3215031751 and psi_7 = 341550071728321
+    (Jaeschke 1993), psi_9 = 3825123056546413051 (Jiang & Deng 2014),
+    psi_12 and psi_13 (Sorenson & Webster 2015).  All 26 run from psi_13 on.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -94,18 +104,18 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES if n >= _MR_PROVEN_BELOW else _MR_BASES[:13]:
-        if a % n == 0:
-            continue
+    bases = _MR_BASES if n >= _MR_PROVEN_BELOW else _MR_BASES[:13]
+    for count, a in enumerate(bases, 1):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < _MR_PREFIX_PROVEN_BELOW.get(count, 0):
+            break
     return True
 
 

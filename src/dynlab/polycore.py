@@ -957,11 +957,18 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    """Recursive-descent parser producing a polynomial over Q[a]."""
+    """Recursive-descent parser producing a polynomial over Q[a].
+
+    Each pair of parentheses costs four Python frames, so nesting deeper
+    than ``MAX_NESTING`` is refused well below the recursion limit.
+    """
+
+    MAX_NESTING = 100
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -1016,9 +1023,14 @@ class _Parser:
     def atom(self) -> Polynomial:
         tok = self.next()
         if tok == "(":
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                raise DomainError(f"parentheses nested deeper than "
+                                  f"{self.MAX_NESTING}")
             inner = self.expr()
             if self.next() != ")":
                 raise DomainError("unbalanced parentheses")
+            self.depth -= 1
             return inner
         if tok == "x":
             return Polynomial.x(QA)

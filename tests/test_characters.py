@@ -6,11 +6,13 @@ import pytest
 
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
 from dynlab.characters import (Character, CoverCertificate, _char_kills_sum,
-                               _strata_sums, characters, covers,
+                               _lift_unit, _strata_sums, characters, covers,
                                equivalence_sweep, hyperplane_forms, unit_group)
+from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import fast_xn1_divides
 from dynlab.numtheory import euler_phi, factorize, is_prime
+from dynlab.polycore import QQ, Polynomial
 
 
 class TestUnitGroup:
@@ -277,6 +279,39 @@ class TestCoversAgainstCharacterLoop:
             assert (cert.to_json_dict()
                     == _covers_by_character_loop(d, n).to_json_dict()), (d, n)
         assert verdicts == {True, False}
+
+
+def q_polynomial_kills_sum(chi, entries, m):
+    """Test-local copy of the strata test that the integer reduction
+    replaced: the sum as a polynomial over Q, reduced modulo Phi_L."""
+    group = chi.group
+    L = group.exponent
+    acc = [0] * L
+    for w, coeff in entries.items():
+        u = _lift_unit(w, m, group.modulus)
+        acc[chi._angle_numerator(group.dlog_of(u))] += coeff
+    poly = Polynomial(QQ, acc)
+    if poly.is_zero:
+        return True
+    return (poly % cyclotomic_poly(L)).is_zero
+
+
+def test_integer_strata_test_matches_q_reduction(monkeypatch):
+    module = importlib.import_module("dynlab.characters")
+    verdicts = []
+
+    def checked(chi, entries, m):
+        got = _char_kills_sum(chi, entries, m)
+        assert got == q_polynomial_kills_sum(chi, entries, m), (
+            chi.group.modulus, chi.exponents, m)
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(module, "_char_kills_sum", checked)
+    for d in range(1, 61):
+        for n in range(1, 61):
+            covers(d, n)
+    assert True in verdicts and False in verdicts
 
 
 class TestEquivalenceSweep:

@@ -331,6 +331,14 @@ class TestErrorHandling:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_deeply_nested_polynomial_is_one_line_error(self, capsys):
+        nested = "(" * 1200 + "x^2" + ")" * 1200
+        code = main(["necklace", "--d", "2", "--f", nested])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: parentheses nested deeper than 100\n"
+
     def test_prime_zero_refused(self, capsys):
         code = main(["dynatomic", "--f", "x^2+1", "--d", "2", "--p", "0"])
         captured = capsys.readouterr()

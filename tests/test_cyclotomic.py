@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynlab import numtheory
+from dynlab import cyclotomic, numtheory
 from dynlab.cyclotomic import (CycloFactorReport, _candidate_cap,
                                _root_of_unity_mod_prime, cyclo_factor_scan,
                                cyclotomic_candidates, cyclotomic_poly,
@@ -250,12 +250,59 @@ class TestScan:
             assert_scan_matches_old(small_totients, poly)
 
     def test_matches_old_scan_on_necklaces(self, small_totients):
-        for d in range(1, 201):
+        for d in list(range(1, 201)) + [210, 420, 840]:
             assert_scan_matches_old(small_totients, necklace_poly(d).scale(d))
 
     def test_matches_old_scan_on_shifted_cyclotomics(self, small_totients):
         for n in range(1, 301):
             assert_scan_matches_old(small_totients, cyclotomic_poly(n) - 1)
+
+    def test_matches_old_scan_on_sparse_sums(self, small_totients):
+        # 3-8 signed monomials at degree up to 600, half of them with
+        # coefficient sum 0 and exponents on a common step, so that dividing
+        # out the cyclotomic factors leaves a dense cofactor
+        rng = random.Random(600)
+        for i in range(6):
+            step = rng.choice((1, 2, 3, 4, 6))
+            exps = rng.sample(range(600 // step + 1), rng.randint(3, 8))
+            coeffs = [0] * (max(exps) * step + 1)
+            for e in exps:
+                coeffs[e * step] = rng.choice((-3, -2, -1, 1, 1, 2))
+            if i % 2:
+                coeffs[exps[0] * step] -= sum(coeffs)
+            poly = Polynomial(QQ, coeffs)
+            if poly.degree > 0:
+                assert_scan_matches_old(small_totients, poly)
+
+    @pytest.mark.parametrize("k", [1, 6, 12, 30, 105])
+    def test_filter_ends_the_multiplicity_loop(self, small_totients,
+                                               monkeypatch, k):
+        # Phi_k**3 times a sparse cofactor of degree >= phi(k): the new
+        # cofactor fails the filter, so no trial division leaves a remainder
+        remainders = []
+
+        def spy(a, b):
+            quot, rem = divmod(a, b)
+            remainders.append(rem)
+            return quot, rem
+
+        poly = cyclotomic_poly(k)**3 * (X**200 + 2 * X**7 + 3)
+        monkeypatch.setattr(cyclotomic, "divmod", spy, raising=False)
+        report = cyclo_factor_scan(poly)
+        monkeypatch.undo()
+        assert (k, 3) in report.cyclo_indices
+        assert remainders and all(rem.is_zero for rem in remainders)
+        assert_scan_matches_old(small_totients, poly)
+
+    def test_matches_old_scan_on_rational_sparse_inputs(self, small_totients):
+        third, seventh = Fraction(1, 3), Fraction(-2, 7)
+        for poly in (third * X**5 - third * X**2,
+                     (third * X**40 + seventh * X**3)
+                     * cyclotomic_poly(6)**2 * X**4,
+                     (X**90 - 1).scale(Fraction(5, 9)) * X,
+                     (seventh * X**120 + third * X**60 + 1)
+                     * cyclotomic_poly(20) * X**7):
+            assert_scan_matches_old(small_totients, poly)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -32,6 +32,9 @@ CASES = [
      ["cyclo-factors", "--both", "105", "--format", "json"], 0, []),
     # generated once by the trial-division scan, which took 3m43s on it
     ("cyclo_necklace_1100", ["cyclo-factors", "--necklace", "1100"], 0, []),
+    # pins the degree-950 cofactor of the same scan
+    ("cyclo_necklace_1100_json",
+     ["cyclo-factors", "--necklace", "1100", "--format", "json"], 0, []),
     ("cyclo_poly_json",
      ["cyclo-factors", "--poly", "x^3 - x", "--format", "json"], 0, []),
     # phi(221) = 192, a size the cyclo benchmark draws

@@ -181,6 +181,101 @@ def test_is_prime_basics():
         assert not is_prime(c)
 
 
+def thirteen_base_is_prime(n):
+    """Test-local copy of the test that ran the first 13 prime bases on every
+    n below psi_13."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_a_sieve_below_a_million():
+    n = 10**6
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    assert [i for i in range(n) if is_prime(i)] == [
+        i for i in range(n) if sieve[i]]
+
+
+@pytest.mark.parametrize("bits", [32, 48, 64])
+def test_is_prime_matches_thirteen_bases(bits):
+    rng = random.Random(bits)
+    draws = [rng.getrandbits(bits) | 1 for _ in range(2000)]
+    # the next prime above some draws, and products of two half-size primes
+    for n in draws[:60]:
+        while not thirteen_base_is_prime(n):
+            n += 2
+        draws.append(n)
+    half = [n for n in draws if thirteen_base_is_prime(n)][:20]
+    for p in half:
+        q = rng.getrandbits(bits // 2) | 1
+        while not thirteen_base_is_prime(q):
+            q += 2
+        draws.append((p >> (bits // 2)) | 1)
+        draws.append(q * (q + 2))
+    for n in draws:
+        assert is_prime(n) == thirteen_base_is_prime(n), n
+
+
+@pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383,
+                               341550071728321, 3825123056546413051])
+def test_is_prime_boundary_pseudoprimes_are_composite(n):
+    # psi_4 ... psi_9: each is a strong pseudoprime to the bases below the
+    # set that the test runs at its size
+    assert not is_prime(n)
+
+
+# (prime, bases run): primes near 2**29 and the primes nearest each psi_j
+@pytest.mark.parametrize("n,count", [
+    (536871001, 4), (3215031751 - 2, 4), (3215031751 + 16, 7),
+    (341550071728321 - 32, 7), (341550071728321 + 40, 9), (2**61 - 1, 9),
+    (3825123056546413051 - 72, 9), (3825123056546413051 + 6, 12),
+    (318665857834031151167461 - 20, 12), (318665857834031151167461 + 22, 13),
+    (3317044064679887385961981 - 168, 13),
+    (3317044064679887385961981 + 142, 26)])
+def test_is_prime_runs_the_smallest_proven_base_set(n, count):
+    ran = []
+
+    class CountingBases(tuple):
+        def __getitem__(self, index):
+            return CountingBases(tuple.__getitem__(self, index))
+
+        def __iter__(self):
+            for a in tuple.__iter__(self):
+                ran.append(a)
+                yield a
+
+    saved = numtheory._MR_BASES
+    numtheory._MR_BASES = CountingBases(saved)
+    try:
+        assert is_prime(n)
+    finally:
+        numtheory._MR_BASES = saved
+    assert ran == list(saved[:count])
+
+
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
 # first 13 prime bases.
 PSI_12 = 318665857834031151167461

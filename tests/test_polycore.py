@@ -348,6 +348,12 @@ class TestTextAndJson:
     def test_long_product_parses(self):
         assert parse_polynomial("*".join(["x"] * 2000)) == X**2000
 
+    def test_nesting_depth_bound(self):
+        assert parse_polynomial("(" * 100 + "x^2" + ")" * 100) == X**2
+        for depth in (101, 1200, 100000):
+            with pytest.raises(DomainError, match="nested deeper than 100"):
+                parse_polynomial("(" * depth + "x^2" + ")" * depth)
+
     def test_json_shape(self):
         data = parse_polynomial("x^2+a").to_json_dict()
         assert data == {"ring": "Qa", "coeffs": ["a", "0", "1"]}

@@ -8,7 +8,8 @@ kernel.  The pseudo-remainder behind ``resultant`` and ``poly_gcd`` must
 leave lc(b)^(da-db+1) * a minus itself divisible by b, with degree below
 deg b, over Z, F_p and Q[a].  A sign after ``*`` negates the power that
 follows it.  A coerced ring element must be falsy exactly when it is zero,
-since that truth test is the rings' only zero test.
+since that truth test is the rings' only zero test.  Every root of unity
+that the cyclotomic scan's filter uses must have the order it stands for.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -21,6 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dynlab import cyclotomic  # noqa: E402
+from dynlab.numtheory import factorize, is_prime  # noqa: E402
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField,  # noqa: E402
                              _SCHOOLBOOK_TERMS, _ZZ, _prs_prem,
                              parse_polynomial)
@@ -258,3 +261,45 @@ def test_coerced_element_is_falsy_exactly_when_zero(ring, cases):
             assert 0 <= element < ring.p
 
     run()
+
+
+@st.composite
+def sparse_times_cyclotomics(draw):
+    """A sum of up to 8 signed monomials of degree up to 300 times up to
+    three cyclotomic powers with index up to 60."""
+    coeffs = [0] * 301
+    for e, c in draw(st.lists(st.tuples(st.integers(0, 300),
+                                        st.integers(-3, 3).filter(bool)),
+                              min_size=1, max_size=8)):
+        coeffs[e] = c
+    poly = Polynomial(QQ, coeffs)
+    for k, m in draw(st.lists(st.tuples(st.integers(1, 60),
+                                        st.integers(1, 3)), max_size=3)):
+        poly = poly * cyclotomic.cyclotomic_poly(k)**m
+    return poly
+
+
+@deterministic
+@given(sparse_times_cyclotomics())
+def test_scan_filter_roots_have_exact_order(poly):
+    used = []
+
+    def spy(k, owner):
+        q, w = shared_root(k, owner)
+        used.append((k, owner, q, w))
+        return q, w
+
+    shared_root = cyclotomic._shared_root
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclotomic, "_shared_root", spy)
+        report = cyclotomic.cyclo_factor_scan(poly)
+    assert used or poly.degree == poly.x_valuation
+    for k, owner, q, w in used:
+        assert owner % k == 0
+        assert is_prime(q) and (q - 1) % k == 0
+        assert pow(w, k, q) == 1
+        assert all(pow(w, k // p, q) != 1 for p in factorize(k).primes)
+    rebuilt = Polynomial.monomial(QQ, report.x_multiplicity) * report.cofactor
+    for k, mult in report.cyclo_indices:
+        rebuilt = rebuilt * cyclotomic.cyclotomic_poly(k)**mult
+    assert rebuilt == poly
