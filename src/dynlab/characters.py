@@ -28,7 +28,9 @@ from typing import Iterator, Mapping, NamedTuple
 from .errors import DomainError, ResourceLimitError
 from .cyclotomic import cyclotomic_poly
 from .necklace import fast_xn1_divides
-from .numtheory import euler_phi, factorize, squarefree_divisors
+from .numtheory import (_element_of_order, euler_phi, factorize,
+                        squarefree_divisors)
+from .polycore import _divmod_ints
 
 PHI_CAP = 10**6
 
@@ -100,20 +102,9 @@ class Character(_CharacterFields):
         return all(e == 0 for e in self.exponents)
 
 
-def _primitive_root_mod_p(p: int) -> int:
-    if p == 2:
-        return 1
-    phi = p - 1
-    prime_parts = factorize(phi).primes
-    g = 2
-    while True:
-        if all(pow(g, phi // r, p) != 1 for r in prime_parts):
-            return g
-        g += 1
-
-
 def _primitive_root_mod_pk(p: int, k: int) -> int:
-    g = _primitive_root_mod_p(p)
+    """The least primitive root mod the odd prime p, lifted to mod p**k."""
+    g = _element_of_order(p - 1, p)
     if k == 1:
         return g
     if pow(g, p - 1, p * p) == 1:
@@ -264,7 +255,7 @@ def _char_kills_sum(chi: Character, entries: dict[int, int],
     The values are roots of unity of order dividing the group exponent L, so
     the sum is the integer polynomial sum(coeff * x**angle) at zeta_L.  It
     vanishes exactly when that polynomial is 0 modulo Phi_L, which is monic
-    with integer coefficients, so the reduction runs on integers.
+    with integer coefficients, so the reduction runs on the integer loop.
     """
     group = chi.group
     L = group.exponent
@@ -272,22 +263,13 @@ def _char_kills_sum(chi: Character, entries: dict[int, int],
     for w, coeff in entries.items():
         u = _lift_unit(w, m, group.modulus)
         acc[chi._angle_numerator(group.dlog_of(u))] += coeff
-    deg, lower = _cyclotomic_ints(L)
-    for top in range(L - 1, deg - 1, -1):
-        c = acc[top]
-        if c:
-            for j, b in lower:
-                acc[top - deg + j] -= c * b
-    return not any(acc[:deg])
+    return not _divmod_ints(acc, _cyclotomic_ints(L))[1]
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_ints(L: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """deg Phi_L, and (j, c) for each nonzero coefficient c of x**j in Phi_L
-    below the leading one."""
-    phi = cyclotomic_poly(L).coeffs
-    deg = len(phi) - 1
-    return deg, tuple((j, int(c)) for j, c in enumerate(phi[:deg]) if c)
+def _cyclotomic_ints(L: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_L, ascending."""
+    return tuple(int(c) for c in cyclotomic_poly(L).coeffs)
 
 
 def _angle_table(group: UnitGroup, q: int) -> list[int]:

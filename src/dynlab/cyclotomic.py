@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
-from .numtheory import core_and_cocore, factorize, is_prime
+from .numtheory import _element_of_order, core_and_cocore, factorize, is_prime
 from .polycore import QQ, Polynomial, _clear_denominators
 
 _totient_sieve: list[int] = [0, 1]
@@ -148,11 +148,7 @@ def _root_of_unity_mod_prime(k: int) -> tuple[int, int]:
     q = k * (2**29 // k + 1) + 1
     while not is_prime(q):
         q += k
-    primes = factorize(k).primes
-    for g in itertools.count(2):
-        w = pow(g, (q - 1) // k, q)
-        if all(pow(w, k // p, q) != 1 for p in primes):
-            return q, w
+    return q, _element_of_order(k, q)
 
 
 def _shared_root(k: int, owner: int) -> tuple[int, int]:

@@ -256,15 +256,6 @@ def _unit_lead(divisor: Polynomial) -> bool:
     return divisor.ring is not QA or len(divisor.lc) == 1
 
 
-def _residues(f: Polynomial, modulus: Polynomial,
-              count: int) -> list[Polynomial]:
-    """x, f(x), ..., f**count(x), each reduced mod modulus."""
-    table = [Polynomial.x(f.ring) % modulus]
-    for _ in range(count):
-        table.append(f.compose(table[-1]) % modulus)
-    return table
-
-
 def _quotient_remainder(t: RelationTuple, f: Polynomial,
                         divisor: Polynomial, cap: int) -> Polynomial | None:
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
@@ -278,7 +269,7 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     """
     ring = f.ring
     index = PsiQuotient(t.m, t.n).reduce_index
-    residues = _residues(f, divisor, t.m + t.n - 1)
+    residues = _iterates(f, range(t.m + t.n), divisor)
     shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
     factors = [(pre + t.d // e, pre, mu * sign)
                for e, mu in squarefree_divisors(t.d) for pre, sign in shifts]
@@ -286,7 +277,7 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     top = generalized_dynatomic_degree(f.degree, t.c, t.d)
     lifts = None
     if 2 * divisor.degree < top <= cap and any(r.is_zero for r in reduced):
-        lifts = _residues(f, divisor * divisor, t.c + t.d)
+        lifts = _iterates(f, range(t.c + t.d + 1), divisor * divisor)
     num = den = Polynomial.one(ring)
     order = 0
     for (i, j, weight), factor in zip(factors, reduced):

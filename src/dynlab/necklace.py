@@ -99,9 +99,9 @@ class PsiElement:
         if self.is_zero:
             return Polynomial.zero(ring)
         top = max(k for k, _ in self.terms)
-        coeffs = [0] * (top + 1)
-        for k, c in self.terms:
-            coeffs[k] += c
+        coeffs = [ring.zero] * (top + 1)
+        for k, c in self.terms:  # the indices are distinct
+            coeffs[k] = ring.coerce(c)
         return Polynomial(ring, coeffs)
 
     def __repr__(self):
@@ -194,10 +194,7 @@ def necklace_poly(d: int) -> Polynomial:
     """M_d(x) = (1/d) * sum of mu(e) * x**(d/e) over divisors e of d."""
     if d < 1:
         raise DomainError("necklace polynomial index must be >= 1")
-    coeffs = [Fraction(0)] * (d + 1)
-    for e, mu in squarefree_divisors(d):
-        coeffs[d // e] += Fraction(mu, d)
-    return Polynomial(QQ, coeffs)
+    return necklace_operator(d).apply_to_monomials().scale(Fraction(1, d))
 
 
 def psi_vanishes(d: int, m: int, n: int) -> bool:
@@ -240,6 +237,4 @@ def dynamical_necklace(f: Polynomial, d: int) -> Polynomial:
     acc = Polynomial.zero(ring)
     for e, mu in pairs:
         acc = acc + iterates[d // e].scale(mu)
-    inv_d = Fraction(1, d) if not ring.characteristic else ring.exact_div(
-        ring.coerce(1), ring.coerce(d))
-    return acc.scale(inv_d)
+    return acc.scale(ring.exact_div(ring.one, ring.coerce(d)))

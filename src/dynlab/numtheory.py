@@ -16,6 +16,7 @@ with no known counterexample, not a proof.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -223,6 +224,20 @@ def squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
     for p in factorize(n).primes:
         pairs += [(e * p, -mu) for e, mu in pairs]
     return tuple(sorted(pairs))
+
+
+def _element_of_order(k: int, q: int) -> int:
+    """The first g**((q - 1) / k), for g = 2, 3, ..., of exact order k mod
+    the prime q (k divides q - 1).
+
+    For k = q - 1 that is g itself, so the result is the least primitive
+    root mod an odd prime q.
+    """
+    primes = factorize(k).primes
+    for g in itertools.count(2):
+        w = pow(g, (q - 1) // k, q)
+        if w and all(pow(w, k // r, q) != 1 for r in primes):
+            return w
 
 
 def euler_phi(n: int) -> int:

@@ -31,11 +31,12 @@ Over Q the kernel sees the numerators over a common denominator; over F_p
 the residues themselves, reduced after the product; over Q[a] both operands
 are cleared to integers and flattened, x-degree i and a-degree j going to
 slot ``i*width + j``, so that one integer product gives the whole result.
-Division over F_p has its own integer loop, ``_divmod_fp``, with one
-inverse of the leading coefficient; over Q a monic integer divisor stays in
-Z, and everything else runs the generic ring loop.  The pseudo-remainders
-of the remainder sequences run on that ring loop too, and the private
-integer ring is Q's arithmetic on ints with a checked exact division.
+Division has one integer loop, ``_divmod_ints``, over the nonzero terms of
+the divisor below its lead: over F_p, with one inverse of the lead, and over
+Q for a monic integer divisor, with the numerator's denominators cleared
+once.  Everything else, and the pseudo-remainders of the remainder
+sequences, runs the generic ring loop; the private integer ring is Q's
+arithmetic on ints with a checked exact division.
 
 All arithmetic is exact; floating point appears nowhere.  Exact division
 failures carry the offending remainder because a nonzero remainder is
@@ -48,7 +49,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, ExactDivisionError
 
@@ -339,6 +340,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:  # falsy exactly when zero, like ring elements
+        return bool(self.coeffs)
+
     @property
     def lc(self):
         if not self.coeffs:
@@ -420,9 +424,7 @@ class Polynomial:
         return _power(operator.mul, Polynomial.one(self.ring), self, k)
 
     def scale(self, c) -> "Polynomial":
-        ring = self.ring
-        c = ring.coerce(c)
-        return _raw(ring, _strip([ring.mul(c, u) for u in self.coeffs]))
+        return self * c
 
     def _coerce_operand(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -485,7 +487,7 @@ class Polynomial:
         if ring is QQ:
             q, r = _divmod_q(self.coeffs, den.coeffs)
         elif isinstance(ring, PrimeField):
-            q, r = _divmod_fp(self.coeffs, den.coeffs, ring.p)
+            q, r = _divmod_ints(self.coeffs, den.coeffs, ring.p)
         else:
             q, r = _divmod_generic(ring, self.coeffs, den.coeffs)
         return _raw(ring, q), _raw(ring, r)
@@ -554,12 +556,18 @@ def _raw(ring: CoefficientRing, coeffs: tuple) -> Polynomial:
     return poly
 
 
-def _iterates(f: Polynomial, needed: set[int]) -> dict[int, Polynomial]:
-    """The iterates f**k(x) for k in needed (and k = 0), composing no further."""
-    table = {0: Polynomial.x(f.ring)}
-    current = table[0]
+def _iterates(f: Polynomial, needed: Collection[int],
+              modulus: Polynomial | None = None) -> dict[int, Polynomial]:
+    """The iterates f**k(x) for k in needed (and k = 0), composing no further;
+    each is reduced mod modulus when one is given."""
+    current = Polynomial.x(f.ring)
+    if modulus is not None:
+        current = current % modulus
+    table = {0: current}
     for k in range(1, max(needed, default=0) + 1):
         current = f.compose(current)
+        if modulus is not None:
+            current = current % modulus
         if k in needed:
             table[k] = current
     return table
@@ -701,42 +709,39 @@ def _mul_coeffs_fp(a: tuple, b: tuple, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 # division kernels
 
-def _divmod_q(num: tuple, den: tuple) -> tuple[tuple, tuple]:
-    # Integer fast path: monic divisor with integer coefficients keeps the
-    # whole computation in Z.
-    if (den[-1] == 1
-            and all(c.denominator == 1 for c in den)
-            and all(c.denominator == 1 for c in num)):
-        rem = [int(c) for c in num]
-        d = [int(c) for c in den]
-        dd = len(d) - 1
-        quot = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c:
-                quot[k - dd] = c
-                for i in range(dd + 1):
-                    rem[k - dd + i] -= c * d[i]
-        return _to_fractions(quot, 1), _to_fractions(rem[:dd], 1)
-    return _divmod_generic(QQ, num, den)
+def _divmod_ints(num: Iterable[int], den: Sequence[int],
+                 p: int | None = None) -> tuple[tuple, tuple]:
+    """Quotient and stripped remainder of int sequences, over Z or mod p.
 
-
-def _divmod_fp(num: tuple, den: tuple, p: int) -> tuple[tuple, tuple]:
-    # Remainder entries run unreduced (each is below (deg den + 1) * p**2 in
-    # size) and are reduced mod p only when the loop consumes them.
+    Over Z the divisor is monic.  Mod p its lead is inverted once, and the
+    remainder entries run unreduced (each below (deg den + 1) * p**2) until
+    the loop consumes them.  Only the divisor's nonzero lower terms are read.
+    """
     dd = len(den) - 1
-    inv = pow(den[-1], -1, p)
+    inv = 1 if p is None else pow(den[-1], -1, p)
     terms = [(i, di) for i, di in enumerate(den[:-1]) if di]
     rem = list(num)
     quot = [0] * (len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k] % p * inv % p
+        c = rem[k] if p is None else rem[k] % p * inv % p
         if c:
             quot[k - dd] = c
             base = k - dd
             for i, di in terms:
                 rem[base + i] -= c * di
-    return tuple(quot), _strip([c % p for c in rem[:dd]])
+    rem = rem[:dd] if p is None else [c % p for c in rem[:dd]]
+    return tuple(quot), _strip(rem)
+
+
+def _divmod_q(num: tuple, den: tuple) -> tuple[tuple, tuple]:
+    # A monic integer divisor keeps the loop in Z.  The cleared numerator
+    # goes in as a generator, so no list holds its ints while the loop runs.
+    if den[-1] == 1 and all(c.denominator == 1 for c in den):
+        scale = math.lcm(*(c.denominator for c in num))
+        ints = (c.numerator * (scale // c.denominator) for c in num)
+        quot, rem = _divmod_ints(ints, [int(c) for c in den])
+        return _to_fractions(quot, scale), _to_fractions(rem, scale)
+    return _divmod_generic(QQ, num, den)
 
 
 def _divmod_generic(ring: CoefficientRing, num: tuple,

@@ -314,6 +314,24 @@ def test_integer_strata_test_matches_q_reduction(monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+def test_strata_test_cancels_a_nonzero_sum():
+    """1 + w + w**2 = 0 for w of order 3.  Every True on the grids above
+    comes from a sum whose coefficients are all 0; here the reduction
+    modulo Phi_L decides."""
+    group = unit_group(7)
+    thirds = {Fraction(k, 3) for k in range(3)}
+    chi = next(c for c in characters(group)
+               if {c.angle(u) for u in range(1, 7)} == thirds)
+    reps = {}
+    for u in range(1, 7):
+        reps.setdefault(chi.angle(u), u)
+    entries = {u: 1 for u in reps.values()}
+    assert _char_kills_sum(chi, entries, 7)
+    assert q_polynomial_kills_sum(chi, entries, 7)
+    entries.popitem()
+    assert not _char_kills_sum(chi, entries, 7)
+
+
 class TestEquivalenceSweep:
     def test_small_grid_empty(self):
         assert equivalence_sweep(60, 30) == []

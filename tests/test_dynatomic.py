@@ -389,13 +389,13 @@ class TestQuotientRoutes:
     def test_agrees_with_full_construction(self, legs, routes_seen,
                                            monkeypatch):
         tables = []
-        build = dynatomic._residues
+        build = dynatomic._iterates
 
-        def spy(f, modulus, count):
-            tables.append((modulus, count))
-            return build(f, modulus, count)
+        def spy(f, needed, modulus=None):
+            tables.append((modulus, max(needed)))
+            return build(f, needed, modulus)
 
-        monkeypatch.setattr(dynatomic, "_residues", spy)
+        monkeypatch.setattr(dynatomic, "_iterates", spy)
         routes = collections.Counter()
         for t, f, seed in legs():
             routes[_cross_check(t, f, seed, tables)] += 1

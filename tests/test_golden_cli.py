@@ -77,6 +77,11 @@ CASES = [
     ("cover_66356058851_266_json",
      ["cover", "--d", "66356058851", "--n", "266",
       "--certificate", "cover.json", "--format", "json"], 3, ["cover.json"]),
+    # covered with 10 of 16 characters witness-less: the strata reduction
+    # decides it
+    ("cover_525_40_json",
+     ["cover", "--d", "525", "--n", "40",
+      "--certificate", "cover.json", "--format", "json"], 0, ["cover.json"]),
 ]
 
 

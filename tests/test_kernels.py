@@ -1,10 +1,11 @@
-"""The integer kernels under Polynomial multiplication and F_p division.
+"""The integer kernels under Polynomial multiplication and division.
 
 Each kernel is compared with a plain loop kept here as the reference:
-schoolbook convolution for ``_convolve`` and the coefficient-by-coefficient
-ring loop for products over Q, F_p and Q[a].  Inputs are seeded.  Every
-division kernel returns a zero quotient and the numerator itself when the
-numerator's degree is below the divisor's.
+schoolbook convolution for ``_convolve``, the coefficient-by-coefficient
+ring loop for products over Q, F_p and Q[a], and ``_divmod_generic`` for
+the integer division loop ``_divmod_ints`` over Z and F_p.  Inputs are
+seeded.  Every division kernel returns a zero quotient and the numerator
+itself when the numerator's degree is below the divisor's.
 """
 
 import random
@@ -12,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _SCHOOLBOOK_TERMS,
-                             _convolve, _divmod_fp, _divmod_generic,
+                             _convolve, _divmod_generic, _divmod_ints,
                              _divmod_q)
 
 PRIMES = (2, 7121, 2**61 - 1)
@@ -175,7 +177,7 @@ def test_fp_division(p):
         num = rand_poly(rng, field, rng.randint(0, 150), 0)
         if den.is_zero:
             continue
-        quot, rem = _divmod_fp(num.coeffs, den.coeffs, p)
+        quot, rem = _divmod_ints(num.coeffs, den.coeffs, p)
         assert (quot, rem) == _divmod_generic(field, num.coeffs, den.coeffs)
         q, r = divmod(num, den)
         assert (q.coeffs, r.coeffs) == (quot, rem)
@@ -185,12 +187,56 @@ def test_fp_division(p):
         assert_canonical(r)
 
 
+def test_z_monic_division_matches_the_ring_loop():
+    """_divmod_q's integer route, for integer and rational numerators."""
+    rng = random.Random(1100)
+    for _ in range(60):
+        bits = rng.choice((1, 10, 90))
+        den = Polynomial(QQ, [signed(rng, bits) for _ in range(rng.randint(0, 40))]
+                         + [1])
+        ints = Polynomial(QQ, [signed(rng, bits)
+                               for _ in range(rng.randint(0, 120))])
+        for num in (ints, rand_poly(rng, QQ, rng.randint(0, 120), bits)):
+            expected = _divmod_generic(QQ, num.coeffs, den.coeffs)
+            assert _divmod_q(num.coeffs, den.coeffs) == expected
+            q, r = divmod(num, den)
+            assert (q.coeffs, r.coeffs) == expected
+            assert q * den + r == num
+            assert_canonical(q)
+            assert_canonical(r)
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["Z", "F7"])
+def test_division_by_sparse_cyclotomics(ring):
+    """Phi_k for k <= 60 is monic and sparse; the integer loop visits only
+    its nonzero terms below the lead."""
+    rng = random.Random(repr(ring))
+    p = ring.p if ring is not QQ else None
+    for k in range(1, 61):
+        den = Polynomial(ring, cyclotomic_poly(k).coeffs)
+        den_ints = [int(c) for c in den.coeffs]
+        for length in (0, den.degree, den.degree + 1, 3 * den.degree + 7):
+            num = Polynomial(ring, [signed(rng, 40) for _ in range(length)])
+            expected = _divmod_generic(ring, num.coeffs, den.coeffs)
+            ints = [int(c) for c in num.coeffs]
+            assert _divmod_ints(ints, den_ints, p) == expected
+            q, r = divmod(num, den)
+            assert (q.coeffs, r.coeffs) == expected
+            assert q * den + r == num
+        # an exact multiple leaves no remainder
+        q, r = divmod(den * (num + 1), den)
+        assert q == num + 1 and not r
+
+
 SHORT_NUMERATORS = [
     # Z-monic: the integer loop of _divmod_q
     ("Z-monic", _divmod_q, QQ, [3, -1], [1, 0, 2, 1]),
+    ("Z-ints", _divmod_ints, QQ, [3, -1], [1, 0, 2, 1]),
+    # a rational numerator over a Z-monic divisor takes the integer loop too
+    ("Q-over-Z-monic", _divmod_q, QQ, [Fraction(1, 2), 5], [1, 0, 2, 1]),
     # Q, not monic: _divmod_q hands over to the generic loop
     ("Q", _divmod_q, QQ, [Fraction(1, 2), 5], [1, 0, 3]),
-    ("Fp", lambda n, d: _divmod_fp(n, d, 7), PrimeField(7), [6, 2], [1, 3, 5]),
+    ("Fp", lambda n, d: _divmod_ints(n, d, 7), PrimeField(7), [6, 2], [1, 3, 5]),
     ("Qa", lambda n, d: _divmod_generic(QA, n, d), QA,
      [(1, 2), (), (0, 0, 1)], [(1,), (0, 1), (3,), (Fraction(1, 3),)]),
 ]

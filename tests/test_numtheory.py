@@ -314,3 +314,29 @@ def test_is_prime_runs_thirteen_bases_below_psi_13():
         assert calls == []
     finally:
         numtheory._MR_BASES = saved
+
+
+def brute_order(w, q):
+    """Multiplicative order of w mod q by repeated products, or None."""
+    x = w % q
+    for e in range(1, q):
+        if x == 1:
+            return e
+        x = x * w % q
+    return None
+
+
+def test_element_of_order_matches_brute_force_orders():
+    for q in filter(is_prime, range(2, 200)):
+        for k in divisors(q - 1):
+            expected = next(
+                w for w in (pow(g, (q - 1) // k, q) for g in range(2, 2 * q + 2))
+                if brute_order(w, q) == k)
+            w = numtheory._element_of_order(k, q)
+            assert w == expected and brute_order(w, q) == k, (k, q)
+
+
+def test_element_of_order_q_minus_1_is_the_least_primitive_root():
+    for q in filter(is_prime, range(2, 200)):
+        least = next(g for g in range(1, q) if brute_order(g, q) == q - 1)
+        assert numtheory._element_of_order(q - 1, q) == least, q

@@ -131,6 +131,26 @@ class TestEvaluationAndComposition:
         table = _iterates(f, {2, 5})
         assert sorted(table) == [0, 2, 5] and len(calls) == 5
 
+    @pytest.mark.parametrize("ring", [QQ, PrimeField(5), QA])
+    def test_iterates_reduced_mod_a_modulus(self, ring):
+        f = Polynomial(ring, (1, 2, 1, 1))
+        for modulus in (Polynomial(ring, (3, 1)), Polynomial(ring, (1, 0, 1, 0, 1))):
+            table = _iterates(f, range(5), modulus)
+            assert table == {k: f.iterate(k) % modulus for k in range(5)}
+
+
+class TestTruthValue:
+    @pytest.mark.parametrize("ring", [QQ, PrimeField(7), QA])
+    def test_falsy_exactly_when_zero(self, ring):
+        zero, one = Polynomial.zero(ring), Polynomial.one(ring)
+        x = Polynomial.x(ring)
+        assert not zero and not bool(x - x)
+        assert one and x and -x and bool(x + 1)
+        assert not any([zero, x - x]) and any([zero, x])
+        # the remainders of exact divisions
+        assert not any(divmod(x**3 - x, d)[1] for d in (x, x + 1, x - 1))
+        assert any(divmod(x**2 + 2, d)[1] for d in (x, x + 1))
+
 
 class TestDivision:
     def test_div_exact_examples(self):
