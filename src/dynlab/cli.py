@@ -2,9 +2,10 @@
 
 One binary, six subcommands: ``necklace``, ``cyclo-factors``, ``dynatomic``,
 ``relation``, ``scan``, ``cover``.  All output is byte-deterministic for
-fixed flags: JSON is emitted with a fixed key order and indent, CSV uses LF
-endings with exactly one trailing newline, and the SVG scatter uses integer
-coordinates only.
+fixed flags: JSON has a fixed key order and exactly the bytes of
+``json.dumps(value, indent=2)`` (written by ``_json_pieces``, without the
+pure-Python encoder), CSV uses LF endings with exactly one trailing newline,
+and the SVG scatter uses integer coordinates only.
 
 Exit codes: 0 success; ``relation`` exits 2 when the tuple is not
 admissible and 4 when an admissible tuple is falsified by evidence (which
@@ -28,33 +29,90 @@ from .numtheory import core_and_cocore, divisors, squarefree_divisors
 from .polycore import QA, QQ, PrimeField, Polynomial, parse_polynomial
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _write_pieces(handle, pieces) -> None:
+    """Write the pieces, then a newline unless the last one ends with it."""
+    handle.writelines(pieces)
+    if not pieces[-1].endswith("\n"):
+        handle.write("\n")
 
 
-def _dump_json(data) -> str:
-    import json  # here, not at module level: most commands never encode
-
-    return json.dumps(data, indent=2)
+def _emit(*pieces: str) -> None:
+    _write_pieces(sys.stdout, pieces)
 
 
-def _write_file(path: str, payload: str) -> None:
+def _write_file(path: str, *pieces: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
-        if not payload.endswith("\n"):
-            handle.write("\n")
+        _write_pieces(handle, pieces)
+
+
+def _json_pieces(value) -> list[str]:
+    """The text of ``json.dumps(value, indent=2)``, as a list of pieces.
+
+    ``value`` is built from dict (str keys), list, tuple, str, int, bool and
+    None; anything else raises TypeError.  The whole document is rendered
+    before anything is written, so a failure (say, an int past the
+    int-to-str digit limit) leaves no partial output.  Each list item starts
+    a new piece, each string is a piece of its own, and a list of plain ints
+    is one join, so no copy of the whole document or of a long list is made.
+    """
+    # here, not at module level: most commands never encode
+    from json.encoder import encode_basestring_ascii as quote
+
+    out: list[str] = []
+
+    def put(head: str, value, nl: str) -> str:
+        """Render value at indentation nl after head; return the text that is
+        still to be written (pieces already in ``out`` come first)."""
+        if isinstance(value, str):
+            out.extend((head, quote(value)))
+            return ""
+        if value is None or value is True or value is False:
+            return head + ("null" if value is None else
+                           "true" if value else "false")
+        if isinstance(value, int):
+            return head + int.__repr__(value)
+        if isinstance(value, dict):
+            if not value:
+                return head + "{}"
+            inner = nl + "  "
+            text, sep = head + "{", inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not "
+                                    f"{type(key).__name__}")
+                text = put(text + sep + quote(key) + ": ", item, inner)
+                sep = "," + inner
+            return text + nl + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return head + "[]"
+            inner = nl + "  "
+            if all(type(item) is int for item in value):
+                return (head + "[" + inner
+                        + ("," + inner).join(map(int.__repr__, value))
+                        + nl + "]")
+            head, comma = head + "[" + inner, "," + inner
+            for item in value:
+                text = put(head, item, inner)
+                if text:
+                    out.append(text)
+                head = comma
+            return nl + "]"
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+
+    out.append(put("", value, "\n"))
+    return out
 
 
 def _write_certificate(cert, path: str | None, fmt: str) -> None:
     """Encode cert's JSON once, for the file at path and for --format json."""
     if path or fmt == "json":
-        text = _dump_json(cert.to_json_dict())
+        pieces = _json_pieces(cert.to_json_dict())
         if path:
-            _write_file(path, text)
+            _write_file(path, *pieces)
         if fmt == "json":
-            _emit(text)
+            _emit(*pieces)
 
 
 def _poly_payload(poly: Polynomial) -> dict:
@@ -72,7 +130,7 @@ def _cmd_necklace(args) -> int:
         poly = necklace_poly(args.d)
         label = f"M_{args.d}"
     if args.format == "json":
-        _emit(_dump_json({"d": args.d, "f": args.f, **_poly_payload(poly)}))
+        _emit(*_json_pieces({"d": args.d, "f": args.f, **_poly_payload(poly)}))
     else:
         _emit(f"{label} = {poly.to_text()}")
     return 0
@@ -114,9 +172,9 @@ def _cmd_cyclo_factors(args) -> int:
         for _, name, report in reports:
             _emit(_format_scan_text(name, report))
     elif both is None:
-        _emit(_dump_json(reports[0][2]))
+        _emit(*_json_pieces(reports[0][2]))
     else:
-        _emit(_dump_json({"d": both, **{key: r for key, _, r in reports}}))
+        _emit(*_json_pieces({"d": both, **{key: r for key, _, r in reports}}))
     return 0
 
 
@@ -138,7 +196,7 @@ def _cmd_dynatomic(args) -> int:
         sys.stderr.write("need --d or --m/--n\n")
         return 1
     if args.format == "json":
-        _emit(_dump_json({"f": f.to_text(), **_poly_payload(poly)}))
+        _emit(*_json_pieces({"f": f.to_text(), **_poly_payload(poly)}))
     else:
         _emit(f"{label} = {poly.to_text()}")
     return 0

@@ -992,10 +992,20 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
-        acc = self.term()
+        terms = [self.term()]
         while self.peek() in ("+", "-"):
-            acc = acc + self.term()
-        return acc
+            terms.append(self.term())
+        # one dense sum over all the terms c * x^k * rest
+        out = [QA.zero] * max(k + (1 if rest is None else len(rest.coeffs))
+                              for _, k, rest in terms)
+        for c, k, rest in terms:
+            if rest is None:
+                out[k] = QA.add(out[k], c)
+                continue
+            for i, r in enumerate(rest.coeffs, k):
+                if r:
+                    out[i] = QA.add(out[i], QA.mul(c, r))
+        return _raw(QA, _strip(out))
 
     def signs(self) -> int:
         """Read a run of + and - signs; -1 when it holds an odd number of -."""
@@ -1005,25 +1015,39 @@ class _Parser:
                 sign = -sign
         return sign
 
-    def term(self) -> Polynomial:
+    def term(self) -> tuple[tuple, int, Polynomial | None]:
+        """One product, as (c, k, rest) for c * x^k * rest: the powers of
+        constants and of b*x fold into the Q[a] element c and the exponent
+        k, and rest, the product of the other powers, is None if there are
+        none."""
         # a sign at the start of a term or after * negates the power after it
         sign = self.signs()
-        acc = self.power()
-        while self.peek() == "*":
+        c, k, rest = QA.one, 0, None
+        while True:
+            base, e = self.power()
+            cs = base.coeffs
+            if len(cs) == 2 and not cs[0]:
+                c, k = QA.mul(c, QA.pow(cs[1], e)), k + e
+            elif len(cs) <= 1:
+                c = QA.mul(c, QA.pow(cs[0] if cs else QA.zero, e))
+            else:
+                rest = base**e if rest is None else rest * base**e
+            if self.peek() != "*":
+                break
             self.next()
             sign *= self.signs()
-            acc = acc * self.power()
-        return acc if sign == 1 else -acc
+        return (c if sign == 1 else QA.neg(c)), k, rest
 
-    def power(self) -> Polynomial:
+    def power(self) -> tuple[Polynomial, int]:
+        """An atom and the exponent after it (1 when there is none)."""
         base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            tok = self.next()
-            if not tok.isdigit():
-                raise DomainError("exponent must be a nonnegative integer")
-            return base**int(tok)
-        return base
+        if self.peek() != "^":
+            return base, 1
+        self.next()
+        tok = self.next()
+        if not tok.isdigit():
+            raise DomainError("exponent must be a nonnegative integer")
+        return base, int(tok)
 
     def atom(self) -> Polynomial:
         tok = self.next()
@@ -1038,9 +1062,9 @@ class _Parser:
             self.depth -= 1
             return inner
         if tok == "x":
-            return Polynomial.x(QA)
+            return _raw(QA, ((), QA.one))
         if tok == "a":
-            return Polynomial.constant(QA, QA.param)
+            return _raw(QA, (QA.param,))
         if tok.isdigit():
             value = Fraction(int(tok))
             if self.peek() == "/":
@@ -1050,7 +1074,7 @@ class _Parser:
                     raise DomainError("rational literal needs a positive "
                                       "integer denominator")
                 value = Fraction(int(tok), int(den))
-            return Polynomial.constant(QA, value)
+            return _raw(QA, ((value,),) if value else ())
         raise DomainError(f"unexpected token {tok!r}")
 
 

@@ -430,6 +430,33 @@ class TestCommandJsonEncodedOnce:
         assert out.encode("utf-8") == path.read_bytes()
 
 
+class TestJsonAllOrNothing:
+    """The whole JSON document is rendered before the first byte is written."""
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit in this Python")
+    def test_unprintable_certificate_writes_nothing(self, capsys, tmp_path):
+        # the cofactor degree of (1, 1, 0, 20000) has about 6000 digits
+        path = tmp_path / "cert.json"
+        code = main(["relation", "--m", "1", "--n", "1", "--c", "0",
+                     "--d", "20000", "--trials", "0", "--format", "json",
+                     "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not path.exists()
+
+    def test_unwritable_certificate_prints_nothing(self, capsys, tmp_path):
+        code = main(["cover", "--d", "525", "--n", "40", "--certificate",
+                     str(tmp_path / "missing" / "c.json"), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_import_loads_every_layer_but_not_dataclasses_or_json():
     # a fresh interpreter: only the modules that importing dynlab.cli adds
     src = Path(dynlab.__file__).resolve().parent.parent

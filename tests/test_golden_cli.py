@@ -25,6 +25,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # (case name, argv, expected exit code, names of the files the case writes)
 CASES = [
     ("necklace_d6", ["necklace", "--d", "6"], 0, []),
+    # pins "f": null
+    ("necklace_d6_json", ["necklace", "--d", "6", "--format", "json"], 0, []),
     ("necklace_d2_f_x2", ["necklace", "--d", "2", "--f", "x^2"], 0, []),
     ("necklace_d4_f_x2a", ["necklace", "--d", "4", "--f", "x^2+a"], 0, []),
     ("cyclo_both_105", ["cyclo-factors", "--both", "105"], 0, []),
@@ -45,6 +47,10 @@ CASES = [
      ["dynatomic", "--f", "x^3+1", "--m", "1", "--n", "1"], 0, []),
     ("dynatomic_f5_d4",
      ["dynatomic", "--f", "x^5+2*x", "--p", "5", "--d", "4"], 0, []),
+    # pins the "p" key of a polynomial over F_p
+    ("dynatomic_f7_d3_json",
+     ["dynatomic", "--f", "x^2+x+1", "--p", "7", "--d", "3", "--format",
+      "json"], 0, []),
     ("dynatomic_x2a_d6_json",
      ["dynatomic", "--f", "x^2+a", "--d", "6", "--format", "json"], 0, []),
     ("dynatomic_qa_m2_n3",

@@ -10,6 +10,7 @@ deg b, over Z, F_p and Q[a].  A sign after ``*`` negates the power that
 follows it.  A coerced ring element must be falsy exactly when it is zero,
 since that truth test is the rings' only zero test.  Every root of unity
 that the cyclotomic scan's filter uses must have the order it stands for.
+The CLI's JSON writer must give the text of ``json.dumps(v, indent=2)``.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -23,6 +24,7 @@ from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dynlab import cyclotomic  # noqa: E402
+from dynlab.cli import _json_pieces  # noqa: E402
 from dynlab.numtheory import factorize, is_prime  # noqa: E402
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField,  # noqa: E402
                              _SCHOOLBOOK_TERMS, _ZZ, _prs_prem,
@@ -303,3 +305,42 @@ def test_scan_filter_roots_have_exact_order(poly):
     for k, mult in report.cyclo_indices:
         rebuilt = rebuilt * cyclotomic.cyclotomic_poly(k)**mult
     assert rebuilt == poly
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral characters,
+# all of which the writer must escape as json.dumps does.
+json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                              st.characters(),
+                              st.characters(min_codepoint=0x10000)))
+json_ints = st.one_of(st.integers(), st.integers(min_value=2**64),
+                      st.integers(max_value=-2**64))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_ints, json_text),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.lists(json_ints), st.lists(json_text),
+                            st.dictionaries(json_text, inner)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert "".join(_json_pieces(value)) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0, 2.0], Fraction(1, 2), {"c": [Fraction(3)]}, {1: "x"},
+    {"a": {None: 0}}, ({True: 1},),
+], ids=["float", "float_in_list", "fraction", "fraction_in_dict", "int_key",
+        "none_key", "bool_key"])
+def test_json_writer_refuses_floats_fractions_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _json_pieces(value)
+
+
+def test_json_writer_keeps_long_string_lists_in_pieces():
+    coeffs = [f"{k}/{k + 1}" for k in range(2047)]
+    pieces = _json_pieces({"text": "x", "json": {"ring": "Q", "coeffs": coeffs}})
+    assert "".join(pieces) == json.dumps(
+        {"text": "x", "json": {"ring": "Q", "coeffs": coeffs}}, indent=2)
+    assert max(map(len, pieces)) <= max(len(c) for c in coeffs) + 20
