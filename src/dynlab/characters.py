@@ -5,16 +5,44 @@ decomposition of the unit group mod n; its values are tracked as exact
 rational angles (numerators against the group exponent), never floats.
 
 ``covers(d, n)`` decides divisibility of the degree-d necklace polynomial by
-x**n - 1 through hyperplane covers: a character is *satisfied* when some
-prime p | d with p coprime to n has chi(p) = 1.  When d is divisible by
-squares of primes dividing n, the bracket sum does not live in the unit
-group alone; its non-unit residue classes split into strata indexed by
-gcd-with-n, each isomorphic to a unit group of a divisor modulus.  A
-character with no witness prime is then still satisfied if it kills every
-stratum sum it applies to (an exact root-of-unity cancellation, checked by
-reduction modulo a cyclotomic polynomial).  For d coprime to n the strata
-collapse to the single class [1] and the criterion is the plain hyperplane
-cover over the usable primes.
+x**n - 1 through hyperplane covers.  Let D be the part of d on the primes
+dividing n, and P the *entangled* primes: the p | D with v_p(d) > v_p(n).
+A character chi is harmless when
+
+* chi(p) = 1 for some usable prime p (p | d, p coprime to n), or
+* chi(u_p) = 1 for some p in P, where u_p is a unit mod n with
+  u_p = p mod n/p**v_p(n), or
+* chi factors through none of the stratum moduli n/gcd(D/e, n), e running
+  over the squarefree divisors of D;
+
+and x**n - 1 | M_d exactly when every character is harmless.  For d coprime
+to n, D = 1, P is empty and the one modulus is n itself, so this is the
+plain hyperplane cover over the usable primes.
+
+Proof that the last two clauses are the stratum test.  The D-part of the
+bracket sum is the sum of mu(e)*[D/e] over squarefree e | D.  Its classes
+split into strata by g = gcd(D/e, n), and the class [D/e] of stratum g
+identifies with the unit (D/e)/g of the modulus m = n/g.  A character with
+no usable witness is harmless exactly when it annihilates every stratum sum
+whose modulus it factors through.
+
+For p in P, v_p(D/e) >= v_p(d) - 1 >= v_p(n) whether or not p | e, so
+p**v_p(n) divides every g and p is a unit mod every m.  For p | D outside P,
+v_p(D/e) <= v_p(n), so v_p(g) = v_p(D/e) records whether p | e.  Hence the
+e of stratum g are e_g*f, with e_g fixed by g and f running over the
+squarefree products of P, and in Z[(Z/m)^*] the stratum sum is
+
+    sum_f mu(e_g*f) [w_g*f**-1] = mu(e_g) [w_g] prod_{p in P} (1 - [p]**-1),
+
+with w_g = D/(e_g*g) mod m.  Let chi factor through m.  Since m divides
+n/p**v_p(n), u_p = p mod m, so one lift per prime serves every stratum, and
+chi sends the sum to mu(e_g) chi(w_g) prod_{p in P} (1 - conj chi(u_p)).
+chi(w_g) is a root of unity, so this vanishes exactly when chi(u_p) = 1 for
+some p in P, a condition that does not depend on g.  So chi annihilates
+every stratum sum it factors through exactly when it factors through no
+stratum modulus or some chi(u_p) = 1.  A stratum sum that is 0 in the group
+ring needs no special case: every chi factoring through its modulus sends
+it to 0, so that chi has some chi(u_p) = 1.
 """
 
 from __future__ import annotations
@@ -26,11 +54,11 @@ from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
+# unused here, but perfbench's tracer self-test asserts this binding exists
 from .cyclotomic import cyclotomic_poly
 from .necklace import fast_xn1_divides
 from .numtheory import (_element_of_order, euler_phi, factorize,
                         squarefree_divisors)
-from .polycore import _divmod_ints
 
 PHI_CAP = 10**6
 
@@ -184,9 +212,10 @@ def characters(group: UnitGroup) -> Iterator[Character]:
 class CoverCertificate(NamedTuple):
     """Re-checkable record of a hyperplane-cover decision.
 
-    One witness entry per character: a prime p with chi(p) = 1, or None.
-    A character without a witness is harmless exactly when it annihilates
-    every stratum sum applying to it; the first character that does not is
+    One witness entry per character: a usable prime p with chi(p) = 1, or
+    None.  A character without a witness is harmless exactly when it lies in
+    an entangled prime's hyperplane or factors through no stratum modulus
+    (see the module docstring); the first character that is neither is
     recorded as ``failing_character``.
     """
 
@@ -210,66 +239,25 @@ class CoverCertificate(NamedTuple):
         }
 
 
-def _strata_sums(d: int, n: int) -> dict[int, dict[int, int]]:
-    """Bracket sums of the n-entangled part of d, split by gcd strata.
+def _entangled_hyperplanes(d: int, n: int) -> tuple[list[int], set[int]]:
+    """The lifts u_p of the entangled primes, and the stratum moduli.
 
-    The factor D of d supported on primes dividing n contributes the sum of
-    mu(e) * [D/e] over squarefree e | D.  Each index class [D/e mod n] has
-    gcd g with n and identifies with the unit (D/e)/g of the modulus n/g;
-    the map returned here sends g to the accumulated integer combination on
-    those units (zero coefficients and empty strata dropped).
+    For each p | d with v_p(d) > v_p(n) >= 1, the unit u_p mod n with
+    u_p = p mod n/p**v_p(n) and u_p = 1 mod p**v_p(n); and the set of
+    moduli n/gcd(D/e, n) over the squarefree e | D, where D is the part of d
+    on the primes dividing n (see the module docstring).
     """
     D = 1
+    lifts = []
     for p, k in factorize(d).factors:
         if n % p == 0:
             D *= p**k
-    sums: dict[int, dict[int, int]] = {}
-    for e, mu in squarefree_divisors(D):
-        val = D // e
-        g = math.gcd(val, n)
-        w = (val // g) % (n // g)
-        bucket = sums.setdefault(g, {})
-        bucket[w] = bucket.get(w, 0) + mu
-    for g in list(sums):
-        sums[g] = {w: c for w, c in sums[g].items() if c}
-        if not sums[g]:
-            del sums[g]
-    return sums
-
-
-def _lift_unit(w: int, m: int, n: int) -> int:
-    """Some unit mod n congruent to the unit w mod m (m divides n)."""
-    if m == 1:
-        return 1 % n
-    for t in range(n // m):
-        u = w + t * m
-        if math.gcd(u, n) == 1:
-            return u % n
-    raise AssertionError(f"no unit lift of {w} from mod {m} to mod {n}")
-
-
-def _char_kills_sum(chi: Character, entries: dict[int, int],
-                    m: int) -> bool:
-    """Exact test of sum(coeff * chi(lift(w))) = 0 over the stratum entries.
-
-    The values are roots of unity of order dividing the group exponent L, so
-    the sum is the integer polynomial sum(coeff * x**angle) at zeta_L.  It
-    vanishes exactly when that polynomial is 0 modulo Phi_L, which is monic
-    with integer coefficients, so the reduction runs on the integer loop.
-    """
-    group = chi.group
-    L = group.exponent
-    acc = [0] * L
-    for w, coeff in entries.items():
-        u = _lift_unit(w, m, group.modulus)
-        acc[chi._angle_numerator(group.dlog_of(u))] += coeff
-    return not _divmod_ints(acc, _cyclotomic_ints(L))[1]
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_ints(L: int) -> tuple[int, ...]:
-    """The integer coefficients of Phi_L, ascending."""
-    return tuple(int(c) for c in cyclotomic_poly(L).coeffs)
+            q = math.gcd(n, p**k)
+            if q < p**k:  # v_p(d) > v_p(n), and q = p**v_p(n)
+                rest = n // q
+                lifts.append(p + rest * ((1 - p) * pow(rest, -1, q) % q))
+    moduli = {n // math.gcd(D // e, n) for e, _ in squarefree_divisors(D)}
+    return lifts, moduli
 
 
 def _angle_table(group: UnitGroup, q: int) -> list[int]:
@@ -291,11 +279,14 @@ def covers(d: int, n: int) -> CoverCertificate:
 
     For each usable prime p one flat table holds the angle numerator of
     chi(p) for every character (``_angle_table``); the witness of a
-    character is the first usable p whose angle there is 0.  A Character
-    object is built only for a character with no witness, which then faces
-    the strata check (see the module docstring).  The ``covered`` verdict
-    always matches ``fast_xn1_divides(d, n)``; the certificate carries one
-    witness (or None) per character and is independently re-checkable.
+    character is the first usable p whose angle there is 0.  If some
+    character has no witness, the lifts u_p of the entangled primes mark
+    more characters harmless the same way, and a Character object is built
+    only for a character still unmarked, to test whether it factors through
+    a stratum modulus (see the module docstring for the proof).  The
+    ``covered`` verdict always matches ``fast_xn1_divides(d, n)``; the
+    certificate carries one witness (or None) per character and is
+    independently re-checkable.
     """
     if d < 1 or n < 1:
         raise DomainError("covers needs d, n >= 1")
@@ -308,32 +299,25 @@ def covers(d: int, n: int) -> CoverCertificate:
     vectors = list(itertools.product(*(range(o) for o in group.orders)))
     failing: tuple[int, ...] | None = None
     if None in found:
-        strata = _strata_sums(d, n)
-        # kernel of reduction U_n -> U_m per stratum, for factor-through tests
-        kernels = {g: tuple(u for u in group.dlog
-                            if u % (n // g) == 1 % (n // g))
-                   for g in strata}
-        for exponents, witness in zip(vectors, found):
-            if witness is None and not _kills_strata(
-                    Character(group, exponents), strata, kernels, n):
+        lifts, moduli = _entangled_hyperplanes(d, n)
+        harmless = [w is not None for w in found]
+        for u in lifts:
+            harmless = [h or a == 0
+                        for a, h in zip(_angle_table(group, u), harmless)]
+        # kernel of reduction U_n -> U_m per modulus, for factor-through tests
+        kernels = [tuple(u for u in group.dlog if u % m == 1 % m)
+                   for m in moduli]
+        for exponents, ok in zip(vectors, harmless):
+            if ok:
+                continue
+            chi = Character(group, exponents)
+            if any(all(chi.value_is_one(u) for u in kernel)
+                   for kernel in kernels):
                 failing = exponents
                 break
     return CoverCertificate(
         d=d, n=n, usable_primes=usable, covered=failing is None,
         witnesses=tuple(zip(vectors, found)), failing_character=failing)
-
-
-def _kills_strata(chi: Character, strata: dict[int, dict[int, int]],
-                  kernels: dict[int, tuple[int, ...]], n: int) -> bool:
-    """Whether chi annihilates every stratum sum it factors through."""
-    group = chi.group
-    for g, entries in strata.items():
-        if any(chi._angle_numerator(group.dlog_of(u)) != 0
-               for u in kernels[g]):
-            continue  # chi does not factor through modulus n // g
-        if not _char_kills_sum(chi, entries, n // g):
-            return False
-    return True
 
 
 def hyperplane_forms(d: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -342,8 +326,10 @@ def hyperplane_forms(d: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     Pairs (p, coefficients): a character with exponent vector e lies in the
     hyperplane of p exactly when sum(e_i * c_i / order_i) is an integer.
     The coefficients are the dlog of p over the group generators, which is
-    the line-arrangement data behind a cover certificate (rendering is up
-    to the caller).
+    the line-arrangement data behind a cover certificate's witnesses
+    (rendering is up to the caller).  Only the usable primes are listed:
+    the entangled primes' hyperplanes, which decide only the characters
+    without a witness (see ``covers``), are not.
     """
     group = unit_group(n)
     return [(p, group.dlog_of(p))

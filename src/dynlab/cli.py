@@ -40,7 +40,7 @@ def _emit(*pieces: str) -> None:
     _write_pieces(sys.stdout, pieces)
 
 
-def _write_file(path: str, *pieces: str) -> None:
+def _write_file(path: str, pieces: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         _write_pieces(handle, pieces)
 
@@ -110,7 +110,7 @@ def _write_certificate(cert, path: str | None, fmt: str) -> None:
     if path or fmt == "json":
         pieces = _json_pieces(cert.to_json_dict())
         if path:
-            _write_file(path, *pieces)
+            _write_file(path, pieces)
         if fmt == "json":
             _emit(*pieces)
 
@@ -278,12 +278,15 @@ def scan_rows(d_max: int, n_max: int) -> list[tuple[int, int]]:
     return rows
 
 
-def scan_csv(rows: list[tuple[int, int]]) -> str:
-    return "".join(["d,n\n"] + [f"{d},{n}\n" for d, n in rows])
+def scan_csv(rows: list[tuple[int, int]]) -> list[str]:
+    """The CSV lines, header first; written as pieces, never joined."""
+    return ["d,n\n", *(f"{d},{n}\n" for d, n in rows)]
 
 
-def scan_svg(rows: list[tuple[int, int]], d_max: int, n_max: int) -> str:
-    """Minimal deterministic scatter: one 2px square per divisibility hit."""
+def scan_svg(rows: list[tuple[int, int]], d_max: int,
+             n_max: int) -> list[str]:
+    """Minimal deterministic scatter: one 2px square per divisibility hit,
+    as a list of lines like ``scan_csv``."""
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n',
         '<rect x="0" y="0" width="1000" height="1000" fill="white"/>\n',
@@ -296,7 +299,7 @@ def scan_svg(rows: list[tuple[int, int]], d_max: int, n_max: int) -> str:
         py = 1000 - n * 1000 // n_max
         parts.append(f'<rect x="{px}" y="{py}" width="2" height="2"/>\n')
     parts.append("</svg>\n")
-    return "".join(parts)
+    return parts
 
 
 def _cmd_scan(args) -> int:

@@ -1,17 +1,19 @@
 import importlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
-from dynlab.characters import (Character, CoverCertificate, _char_kills_sum,
-                               _lift_unit, _strata_sums, characters, covers,
+from dynlab.characters import (Character, CoverCertificate,
+                               _entangled_hyperplanes, characters, covers,
                                equivalence_sweep, hyperplane_forms, unit_group)
 from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import fast_xn1_divides
-from dynlab.numtheory import euler_phi, factorize, is_prime
+from dynlab.numtheory import (euler_phi, factorize, is_prime,
+                              squarefree_divisors)
 from dynlab.polycore import QQ, Polynomial
 
 
@@ -228,10 +230,62 @@ class TestCovers:
         }
 
 
+def _strata_sums(d, n):
+    """Bracket sums of the n-entangled part of d, split by gcd strata.
+
+    The factor D of d supported on primes dividing n contributes the sum of
+    mu(e) * [D/e] over squarefree e | D.  Each index class [D/e mod n] has
+    gcd g with n and identifies with the unit (D/e)/g of the modulus n/g;
+    the map returned here sends g to the accumulated integer combination on
+    those units (zero coefficients and empty strata dropped).
+    """
+    D = 1
+    for p, k in factorize(d).factors:
+        if n % p == 0:
+            D *= p**k
+    sums = {}
+    for e, mu in squarefree_divisors(D):
+        val = D // e
+        g = math.gcd(val, n)
+        w = (val // g) % (n // g)
+        bucket = sums.setdefault(g, {})
+        bucket[w] = bucket.get(w, 0) + mu
+    for g in list(sums):
+        sums[g] = {w: c for w, c in sums[g].items() if c}
+        if not sums[g]:
+            del sums[g]
+    return sums
+
+
+def _lift_unit(w, m, n):
+    """Some unit mod n congruent to the unit w mod m (m divides n)."""
+    if m == 1:
+        return 1 % n
+    return next(u % n for u in range(w, n + w, m) if math.gcd(u, n) == 1)
+
+
+def q_polynomial_kills_sum(chi, entries, m):
+    """Whether chi annihilates a stratum sum: the sum as a polynomial over Q
+    in a root of unity of order L (the group exponent), reduced modulo
+    Phi_L."""
+    group = chi.group
+    L = group.exponent
+    acc = [0] * L
+    for w, coeff in entries.items():
+        u = _lift_unit(w, m, group.modulus)
+        acc[chi._angle_numerator(group.dlog_of(u))] += coeff
+    poly = Polynomial(QQ, acc)
+    if poly.is_zero:
+        return True
+    return (poly % cyclotomic_poly(L)).is_zero
+
+
 def _covers_by_character_loop(d, n):
-    """The per-character loop that ``covers`` replaced, kept as a reference:
-    one Character per element of the group, each tested against every
-    usable prime with ``value_is_one``."""
+    """The per-character loop with the stratum sums that ``covers``
+    replaced, kept as a reference: one Character per element of the group,
+    each tested against every usable prime with ``value_is_one``, and a
+    character without a witness against every stratum sum it factors
+    through, by reduction modulo a cyclotomic polynomial over Q."""
     usable = tuple(p for p in factorize(d).primes if n % p != 0)
     group = unit_group(n)
     strata = _strata_sums(d, n)
@@ -247,12 +301,25 @@ def _covers_by_character_loop(d, n):
         for g, entries in strata.items():
             if any(not chi.value_is_one(u) for u in kernels[g]):
                 continue
-            if not _char_kills_sum(chi, entries, n // g):
+            if not q_polynomial_kills_sum(chi, entries, n // g):
                 failing = chi.exponents
                 break
     return CoverCertificate(
         d=d, n=n, usable_primes=usable, covered=failing is None,
         witnesses=tuple(witnesses), failing_character=failing)
+
+
+def _entangled_pair(rng):
+    """A seeded (d, n) in which d raises at least one prime of n above its
+    power in n; the other primes of n get a random power up to two above."""
+    n = rng.randint(2, 4000)
+    factors = factorize(n).factors
+    raised = rng.randrange(len(factors))
+    d = rng.randrange(1, 10**4)
+    for i, (p, k) in enumerate(factors):
+        d *= p**(k + rng.randint(1, 2) if i == raised
+                 else rng.randint(0, k + 2))
+    return d, n
 
 
 class TestCoversAgainstCharacterLoop:
@@ -265,7 +332,7 @@ class TestCoversAgainstCharacterLoop:
 
     def test_seeded_large_pairs(self):
         rng = random.Random(41)
-        verdicts = set()
+        pairs = []
         for i in range(24):
             d = rng.randrange(2, 10**12)
             n = rng.randint(2, 4000)
@@ -274,50 +341,46 @@ class TestCoversAgainstCharacterLoop:
                 p = next(q for q in range(n * rng.randint(1, 200) + 1,
                                           10**9, n) if is_prime(q))
                 d = d * p if d * p < 10**12 else p
+            pairs.append((d, n))
+        entangled = [_entangled_pair(random.Random(seed))
+                     for seed in range(12)]
+        assert all(_entangled_hyperplanes(d, n)[0] for d, n in entangled)
+        verdicts = set()
+        for d, n in pairs + entangled:
             cert = covers(d, n)
             verdicts.add(cert.covered)
+            assert cert.covered == fast_xn1_divides(d, n), (d, n)
             assert (cert.to_json_dict()
                     == _covers_by_character_loop(d, n).to_json_dict()), (d, n)
         assert verdicts == {True, False}
 
 
-def q_polynomial_kills_sum(chi, entries, m):
-    """Test-local copy of the strata test that the integer reduction
-    replaced: the sum as a polynomial over Q, reduced modulo Phi_L."""
-    group = chi.group
-    L = group.exponent
-    acc = [0] * L
-    for w, coeff in entries.items():
-        u = _lift_unit(w, m, group.modulus)
-        acc[chi._angle_numerator(group.dlog_of(u))] += coeff
-    poly = Polynomial(QQ, acc)
-    if poly.is_zero:
-        return True
-    return (poly % cyclotomic_poly(L)).is_zero
-
-
-def test_integer_strata_test_matches_q_reduction(monkeypatch):
-    module = importlib.import_module("dynlab.characters")
-    verdicts = []
-
-    def checked(chi, entries, m):
-        got = _char_kills_sum(chi, entries, m)
-        assert got == q_polynomial_kills_sum(chi, entries, m), (
-            chi.group.modulus, chi.exponents, m)
-        verdicts.append(got)
-        return got
-
-    monkeypatch.setattr(module, "_char_kills_sum", checked)
-    for d in range(1, 61):
-        for n in range(1, 61):
-            covers(d, n)
-    assert True in verdicts and False in verdicts
+def test_each_clause_decides_some_character():
+    """On d, n <= 60, some character is harmless by a usable witness, some
+    (without one) by an entangled prime's hyperplane, and some (with
+    neither) because it factors through no stratum modulus."""
+    decided = {"witness": 0, "entangled": 0, "no stratum": 0}
+    for n in range(1, 61):
+        group = unit_group(n)
+        for d in range(1, 61):
+            lifts, moduli = _entangled_hyperplanes(d, n)
+            kernels = [[u for u in group.dlog if u % m == 1 % m]
+                       for m in moduli]
+            for exponents, p in covers(d, n).witnesses:
+                chi = Character(group, exponents)
+                if p is not None:
+                    decided["witness"] += 1
+                elif any(chi.value_is_one(u) for u in lifts):
+                    decided["entangled"] += 1
+                elif not any(all(chi.value_is_one(u) for u in kernel)
+                             for kernel in kernels):
+                    decided["no stratum"] += 1
+    assert all(decided.values()), decided
 
 
 def test_strata_test_cancels_a_nonzero_sum():
-    """1 + w + w**2 = 0 for w of order 3.  Every True on the grids above
-    comes from a sum whose coefficients are all 0; here the reduction
-    modulo Phi_L decides."""
+    """1 + w + w**2 = 0 for w of order 3: the reference's reduction modulo
+    Phi_L finds a stratum sum that vanishes with nonzero coefficients."""
     group = unit_group(7)
     thirds = {Fraction(k, 3) for k in range(3)}
     chi = next(c for c in characters(group)
@@ -326,10 +389,9 @@ def test_strata_test_cancels_a_nonzero_sum():
     for u in range(1, 7):
         reps.setdefault(chi.angle(u), u)
     entries = {u: 1 for u in reps.values()}
-    assert _char_kills_sum(chi, entries, 7)
     assert q_polynomial_kills_sum(chi, entries, 7)
     entries.popitem()
-    assert not _char_kills_sum(chi, entries, 7)
+    assert not q_polynomial_kills_sum(chi, entries, 7)
 
 
 class TestEquivalenceSweep:

@@ -404,9 +404,9 @@ class TestErrorHandling:
 
 def test_scan_helpers_consistent():
     rows = scan_rows(20, 10)
-    csv = scan_csv(rows)
+    csv = "".join(scan_csv(rows))
     assert csv.count("\n") == len(rows) + 1
-    svg = scan_svg(rows, 20, 10)
+    svg = "".join(scan_svg(rows, 20, 10))
     assert svg.count("height=\"2\"") == len(rows)
 
 

@@ -83,8 +83,8 @@ CASES = [
     ("cover_66356058851_266_json",
      ["cover", "--d", "66356058851", "--n", "266",
       "--certificate", "cover.json", "--format", "json"], 3, ["cover.json"]),
-    # covered with 10 of 16 characters witness-less: the strata reduction
-    # decides it
+    # covered with 10 of 16 characters witness-less: 9 factor through no
+    # stratum modulus, and the entangled prime 5 kills the other one
     ("cover_525_40_json",
      ["cover", "--d", "525", "--n", "40",
       "--certificate", "cover.json", "--format", "json"], 0, ["cover.json"]),
