@@ -31,12 +31,16 @@ Over Q the kernel sees the numerators over a common denominator; over F_p
 the residues themselves, reduced after the product; over Q[a] both operands
 are cleared to integers and flattened, x-degree i and a-degree j going to
 slot ``i*width + j``, so that one integer product gives the whole result.
-Division has one integer loop, ``_divmod_ints``, over the nonzero terms of
-the divisor below its lead: over F_p, with one inverse of the lead, and over
+Division has one integer kernel, ``_divmod_ints``: a row loop over the
+nonzero lower terms of the divisor, or mod p a column loop of dot products
+for a long dense one.  It runs over F_p, with one inverse of the lead, over
 Q for a monic integer divisor, with the numerator's denominators cleared
-once.  Everything else, and the pseudo-remainders of the remainder
-sequences, runs the generic ring loop; the private integer ring is Q's
-arithmetic on ints with a checked exact division.
+once, and over Q[a] for a divisor monic over Z[a], with each cleared Z[a]
+coefficient packed into one int at a = 2**(8w) and a bound on the slots
+proving the unpacked result (``_divmod_qa``).  Everything else, and the
+pseudo-remainders of the remainder sequences, runs the generic ring loop;
+the private integer ring is Q's arithmetic on ints with a checked exact
+division.
 
 All arithmetic is exact; floating point appears nowhere.  Exact division
 failures carry the offending remainder because a nonzero remainder is
@@ -444,10 +448,17 @@ class Polynomial:
         return acc
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)), exact."""
+        """self(inner(x)), exact, by Horner's rule whose top two steps are
+        one square: c_k*g*g + c_(k-1)*g + c_(k-2) with g = inner, so that an
+        iterate of a quadratic is one square.  No table of powers of g is
+        kept, as self may be large (Phi_n composed with f)."""
         inner = self._coerce_operand(inner)
+        cs = self.coeffs
         acc = Polynomial.zero(self.ring)
-        for c in reversed(self.coeffs):
+        if len(cs) > 2:
+            acc = inner * inner * cs[-1] + inner * cs[-2] + cs[-3]
+            cs = cs[:-3]
+        for c in reversed(cs):
             acc = acc * inner + Polynomial.constant(self.ring, c)
         return acc
 
@@ -486,10 +497,10 @@ class Polynomial:
         ring = self.ring
         if ring is QQ:
             q, r = _divmod_q(self.coeffs, den.coeffs)
-        elif isinstance(ring, PrimeField):
-            q, r = _divmod_ints(self.coeffs, den.coeffs, ring.p)
+        elif ring is QA:
+            q, r = _divmod_qa(self.coeffs, den.coeffs)
         else:
-            q, r = _divmod_generic(ring, self.coeffs, den.coeffs)
+            q, r = _divmod_ints(self.coeffs, den.coeffs, ring.p)
         return _raw(ring, q), _raw(ring, r)
 
     def __mod__(self, den: "Polynomial"):
@@ -589,6 +600,8 @@ def _mul_coeffs(ring: CoefficientRing, a: tuple, b: tuple) -> tuple:
         return ()
     if len(a) == 1 or len(b) == 1:
         c, rest = (a[0], b) if len(a) == 1 else (b[0], a)
+        if c == ring.one:
+            return rest
         # Zero entries are falsy in every ring and stay as they are.
         return tuple([ring.mul(c, r) if r else r for r in rest])
     if ring is QQ:
@@ -635,13 +648,8 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * len(b)
     w = bound.bit_length() // 8 + 1
     packed_a = _pack(a, w)
-    product = packed_a * (packed_a if a is b else _pack(b, w))
-    n = len(a) + len(b) - 1
-    half = 1 << (8 * w - 1)
-    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-    buf = (product + bias).to_bytes(n * w, "little")
-    return [int.from_bytes(buf[k:k + w], "little") - half
-            for k in range(0, n * w, w)]
+    out = _unpack(packed_a * (packed_a if a is b else _pack(b, w)), w)
+    return out + [0] * (len(a) + len(b) - 1 - len(out))
 
 
 def _pack(cs: Sequence[int], w: int) -> int:
@@ -654,6 +662,22 @@ def _pack(cs: Sequence[int], w: int) -> int:
             [(-c).to_bytes(w, "little") if c < 0 else zero for c in cs]),
             "little")
     return packed
+
+
+def _unpack(value: int, w: int) -> list[int]:
+    """The slots s[k] in [-2**(8w-1), 2**(8w-1)) of value = sum(s[k] *
+    2**(8*w*k)), up to the last nonzero one.  With n' slots,
+    2**(8w(n'-1)-2) < |value| < 2**(8wn'), so n below is n' or n' + 1; a
+    bias of 2**(8w-1) per slot makes every slot of the bytes nonnegative."""
+    n = (value.bit_length() + 1) // (8 * w) + 1
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    buf = (value + bias).to_bytes(n * w, "little")
+    out = [int.from_bytes(buf[k:k + w], "little") - half
+           for k in range(0, n * w, w)]
+    if not out[-1]:
+        out.pop()
+    return out
 
 
 def _clear_denominators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -713,15 +737,28 @@ def _divmod_ints(num: Iterable[int], den: Sequence[int],
                  p: int | None = None) -> tuple[tuple, tuple]:
     """Quotient and stripped remainder of int sequences, over Z or mod p.
 
-    Over Z the divisor is monic.  Mod p its lead is inverted once, and the
-    remainder entries run unreduced (each below (deg den + 1) * p**2) until
-    the loop consumes them.  Only the divisor's nonzero lower terms are read.
+    Over Z the divisor is monic.  Mod p its lead is inverted once, and sums
+    run unreduced (each below (deg den + 1) * p**2) until a term is read
+    off.  The row loop subtracts each quotient term times the divisor's
+    nonzero lower terms.  Mod p, a divisor of degree >= 16 with over a
+    quarter of them nonzero runs the column loop, which takes each quotient
+    term, and at the end each remainder term, as one dot product summed in
+    C; over Z, where big-int products dominate, it measured no faster.
     """
     dd = len(den) - 1
     inv = 1 if p is None else pow(den[-1], -1, p)
     terms = [(i, di) for i, di in enumerate(den[:-1]) if di]
     rem = list(num)
     quot = [0] * (len(rem) - dd)
+    if p is not None and 4 * len(terms) > dd >= 16:
+        desc = den[dd - 1::-1]
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + dd] - sum(map(operator.mul, quot[k + 1:k + 1 + dd],
+                                      desc))
+            quot[k] = c % p * inv % p
+        rem = [(rem[i] - sum(map(operator.mul, quot[:i + 1], den[i::-1]))) % p
+               for i in range(min(dd, len(rem)))]
+        return tuple(quot), _strip(rem)
     for k in range(len(rem) - 1, dd - 1, -1):
         c = rem[k] if p is None else rem[k] % p * inv % p
         if c:
@@ -742,6 +779,40 @@ def _divmod_q(num: tuple, den: tuple) -> tuple[tuple, tuple]:
         quot, rem = _divmod_ints(ints, [int(c) for c in den])
         return _to_fractions(quot, scale), _to_fractions(rem, scale)
     return _divmod_generic(QQ, num, den)
+
+
+def _divmod_qa(num: tuple, den: tuple) -> tuple[tuple, tuple]:
+    """Q[a] division; a divisor D monic in x over Z[a] runs on packed ints.
+
+    N, cleared to Z[a] once, and D are packed at a = 2**(8w), a ring map to
+    Z under which D stays monic, so _divmod_ints gives the images of the
+    quotient Q and remainder R, and their slots give Q' and R'.  Every
+    a-coefficient of E = Q'*D + R' - N is at most max|Q'| * |D|_1 + max|R'|
+    + max|N| in size.  When that is below 2**(8w), E = 0, since E vanishes
+    at a = 2**(8w) and the lowest nonzero coefficient of such a polynomial
+    is a multiple of 2**(8w).  Division by a monic D is unique, so Q' = Q
+    and R' = R; otherwise w doubles.  Other divisors take the ring loop.
+    """
+    if den[-1] != QA.one or any(f.denominator != 1 for c in den for f in c):
+        return _divmod_generic(QA, num, den)
+    scale = math.lcm(*(f.denominator for c in num for f in c))
+    ints = [[f.numerator * (scale // f.denominator) for f in c] for c in num]
+    dints = [[f.numerator for f in c] for c in den]
+    max_n = max((abs(v) for c in ints for v in c), default=0)
+    norm_d = sum(abs(v) for c in dints for v in c)
+    w = (max(max_n, 1) * norm_d).bit_length() // 8 + 1
+    while True:
+        quot, rem = _divmod_ints((_pack(c, w) if c else 0 for c in ints),
+                                 [_pack(c, w) if c else 0 for c in dints])
+        quot = [_unpack(v, w) for v in quot]
+        rem = [_unpack(v, w) for v in rem]
+        max_q = max((abs(v) for c in quot for v in c), default=0)
+        max_r = max((abs(v) for c in rem for v in c), default=0)
+        if max_q * norm_d + max_r + max_n < 1 << (8 * w):
+            break
+        w *= 2
+    return (_strip([_to_fractions(c, scale) for c in quot]),
+            _strip([_to_fractions(c, scale) for c in rem]))
 
 
 def _divmod_generic(ring: CoefficientRing, num: tuple,

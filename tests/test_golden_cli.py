@@ -53,6 +53,9 @@ CASES = [
       "json"], 0, []),
     ("dynatomic_x2a_d6_json",
      ["dynatomic", "--f", "x^2+a", "--d", "6", "--format", "json"], 0, []),
+    # f^7 is a dense degree-128 Q iterate, so its squares pack (_convolve)
+    ("dynatomic_x2mxm1_d7", ["dynatomic", "--f", "x^2-x-1", "--d", "7"], 0,
+     []),
     ("dynatomic_qa_m2_n3",
      ["dynatomic", "--f", "x^2+3*x+(a+1)", "--m", "2", "--n", "3"], 0, []),
     ("relation_1213_out",

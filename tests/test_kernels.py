@@ -2,21 +2,26 @@
 
 Each kernel is compared with a plain loop kept here as the reference:
 schoolbook convolution for ``_convolve``, the coefficient-by-coefficient
-ring loop for products over Q, F_p and Q[a], and ``_divmod_generic`` for
-the integer division loop ``_divmod_ints`` over Z and F_p.  Inputs are
-seeded.  Every division kernel returns a zero quotient and the numerator
-itself when the numerator's degree is below the divisor's.
+ring loop for products over Q, F_p and Q[a], ``_divmod_generic`` for
+the integer division loop ``_divmod_ints`` over Z and F_p and for the packed
+Q[a] division ``_divmod_qa``, and plain Horner for ``Polynomial.compose``.
+Inputs are seeded.  Every division kernel returns a zero quotient and the
+numerator itself when the numerator's degree is below the divisor's.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import dynlab.polycore as polycore
 from dynlab.cyclotomic import cyclotomic_poly
+from dynlab.dynatomic import dynatomic_poly
+from dynlab.errors import ExactDivisionError
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _SCHOOLBOOK_TERMS,
                              _convolve, _divmod_generic, _divmod_ints,
-                             _divmod_q)
+                             _divmod_q, _divmod_qa, _unpack, parse_polynomial)
 
 PRIMES = (2, 7121, 2**61 - 1)
 
@@ -84,6 +89,22 @@ class TestConvolve:
                              ([-top] * (n + 3), [-top] * n),
                              ([top, -top] * n, [-top, top] * n)):
                     assert _convolve(a, b) == schoolbook(a, b)
+
+    def test_unpack_reads_every_signed_slot(self):
+        # slots of -2**(8w-1) below a top slot of 1 put |value| just above
+        # 2**(8w(n-1)-2), the bound that sizes the slot count
+        rng = random.Random(8)
+        for w in (1, 2, 5):
+            half, base = 1 << (8 * w - 1), 1 << (8 * w)
+            edge = (-half, -half + 1, -1, 0, 1, half - 1)
+            for _ in range(400):
+                slots = [rng.choice(edge) if rng.random() < 0.7
+                         else rng.randrange(-half, half)
+                         for _ in range(rng.randint(0, 7))]
+                while slots and not slots[-1]:
+                    slots.pop()
+                value = sum(c * base**k for k, c in enumerate(slots))
+                assert _unpack(value, w) == slots
 
     def test_zero_runs_and_single_terms(self):
         rng = random.Random(11)
@@ -206,6 +227,26 @@ def test_z_monic_division_matches_the_ring_loop():
             assert_canonical(r)
 
 
+@pytest.mark.parametrize("p", (7121, 2**61 - 1))
+def test_fp_division_on_both_sides_of_the_column_switch(p):
+    """Mod p, a divisor of degree >= 16 with more than a quarter of its lower
+    terms nonzero runs the column loop of _divmod_ints, any other the row
+    loop."""
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for dd, counts in ((15, (15,)), (16, (4, 5, 16)), (40, (0, 10, 11, 40))):
+        for nonzero in counts:
+            low = [c % p for c in sparse(rng, dd, nonzero, 64)]
+            den = Polynomial(field, low + [rng.randrange(1, p)])
+            for length in (0, dd - 1, dd, dd + 1, 200):
+                num = Polynomial(field, [rng.randrange(p)
+                                         for _ in range(length)])
+                expected = _divmod_generic(field, num.coeffs, den.coeffs)
+                assert _divmod_ints(num.coeffs, den.coeffs, p) == expected
+                assert _divmod_ints(iter(num.coeffs), den.coeffs,
+                                    p) == expected
+
+
 @pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["Z", "F7"])
 def test_division_by_sparse_cyclotomics(ring):
     """Phi_k for k <= 60 is monic and sparse; the integer loop visits only
@@ -239,6 +280,9 @@ SHORT_NUMERATORS = [
     ("Fp", lambda n, d: _divmod_ints(n, d, 7), PrimeField(7), [6, 2], [1, 3, 5]),
     ("Qa", lambda n, d: _divmod_generic(QA, n, d), QA,
      [(1, 2), (), (0, 0, 1)], [(1,), (0, 1), (3,), (Fraction(1, 3),)]),
+    # monic over Z[a]: the packed loop of _divmod_qa
+    ("Qa-packed", _divmod_qa, QA,
+     [(1, 2), (), (0, 0, Fraction(1, 3))], [(1,), (0, -1), (3,), (1,)]),
 ]
 
 
@@ -252,3 +296,104 @@ def test_division_with_a_shorter_numerator(kernel, ring, num, den):
         quot, rem = divmod(n, den)
         assert quot.is_zero and rem == n
         assert_canonical(rem)
+
+
+def z_monic_qa_divisor(rng, length, bits):
+    """A divisor monic in x over Z[a], with negative and zero a-coeffs."""
+    def elem():
+        if rng.random() < 0.25:
+            return ()
+        return tuple(Fraction(signed(rng, bits) if rng.random() < 0.7 else 0)
+                     for _ in range(rng.randint(1, 4)))
+    return Polynomial(QA, [elem() for _ in range(length - 1)] + [(1,)])
+
+
+def count_packed_loops(monkeypatch):
+    """Record the integer loops that _divmod_qa runs on packed operands."""
+    calls = []
+
+    def counted(*args):
+        if sys._getframe(1).f_code is _divmod_qa.__code__:
+            calls.append(args)
+        return _divmod_ints(*args)
+
+    monkeypatch.setattr(polycore, "_divmod_ints", counted)
+    return calls
+
+
+class TestPackedQaDivision:
+    """_divmod_qa packs a divisor monic over Z[a] at a = 2**(8w); the ring
+    loop _divmod_generic stays the reference."""
+
+    def check(self, num, den):
+        expected = _divmod_generic(QA, num.coeffs, den.coeffs)
+        assert _divmod_qa(num.coeffs, den.coeffs) == expected
+        q, r = divmod(num, den)
+        assert (q.coeffs, r.coeffs) == expected
+        assert q * den + r == num
+        assert_canonical(q)
+        assert_canonical(r)
+        return r
+
+    def test_seeded_divisors_monic_over_z_a(self):
+        rng = random.Random(6060)
+        remainders = 0
+        for _ in range(40):
+            bits = rng.choice((1, 8, 40))
+            den = z_monic_qa_divisor(rng, rng.randint(1, 8), bits)
+            num = rand_poly(rng, QA, rng.randint(0, 30), bits)
+            remainders += bool(self.check(num, den))
+            # an exact multiple leaves no remainder
+            assert not self.check(den * num, den)
+        assert remainders
+
+    def test_nonzero_remainder(self):
+        num = parse_polynomial("x^5 - a*x^2 + 1/2")
+        den = parse_polynomial("x^2 - (a^2 + 3)*x - a")
+        assert self.check(num, den)
+
+    def test_slot_overflow_retries_with_wider_slots(self, monkeypatch):
+        # the quotient's coefficients reach 1000^19 * a^19, far beyond the
+        # first slot width, which the numerator and divisor alone set
+        num = parse_polynomial("x^20 - 7*a*x^3 + 1/3")
+        den = parse_polynomial("x - 1000*a")
+        self.check(num, den)
+        calls = count_packed_loops(monkeypatch)
+        q = divmod(num, den)[0]
+        assert len(calls) > 1
+        assert q.coeff(0)[19] == 1000**19
+
+    @pytest.mark.parametrize("den", ["2*x^2 + a", "2", "x^2 + 1/2*a"])
+    def test_other_divisors_take_the_ring_loop(self, den, monkeypatch):
+        calls = count_packed_loops(monkeypatch)
+        num = parse_polynomial("x^5 + a^2*x^3 - 3*a*x + 1/5", QA)
+        self.check(num, parse_polynomial(den, QA))
+        # where the quotient leaves Q[a], the ring loop raises
+        with pytest.raises(ExactDivisionError):
+            divmod(num, parse_polynomial("a*x + 1", QA))
+        assert not calls
+
+
+def horner(outer, inner):
+    """Plain Horner composition, the reference for Polynomial.compose."""
+    acc = Polynomial.zero(outer.ring)
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + Polynomial.constant(outer.ring, c)
+    return acc
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7121), QA],
+                         ids=["Q", "F7121", "Qa"])
+def test_compose_matches_plain_horner(ring):
+    rng = random.Random(repr(ring) + "compose")
+    for degree in range(5):
+        for _ in range(6):
+            outer = rand_poly(rng, ring, degree + 1, 20)
+            inner = rand_poly(rng, ring, rng.choice((0, 1, 2, 4, 9)), 20)
+            composed = outer.compose(inner)
+            assert composed == horner(outer, inner)
+            assert_canonical(composed)
+    f = Polynomial(ring, [ring.coerce(c) for c in (3, 1, 1)])
+    for n in (3, 4):
+        phi = dynatomic_poly(f, n)
+        assert phi.compose(f) == horner(phi, f)
