@@ -31,9 +31,8 @@ Over Q the kernel sees the numerators over a common denominator; over F_p
 the residues themselves, reduced after the product; over Q[a] both operands
 are cleared to integers and flattened, x-degree i and a-degree j going to
 slot ``i*width + j``, so that one integer product gives the whole result.
-Division has one integer kernel, ``_divmod_ints``: a row loop over the
-nonzero lower terms of the divisor, or mod p a column loop of dot products
-for a long dense one.  It runs over F_p, with one inverse of the lead, over
+Division has one integer loop, ``_divmod_ints``, over the nonzero terms of
+the divisor below its lead: over F_p, with one inverse of the lead, over
 Q for a monic integer divisor, with the numerator's denominators cleared
 once, and over Q[a] for a divisor monic over Z[a], with each cleared Z[a]
 coefficient packed into one int at a = 2**(8w) and a bound on the slots
@@ -648,8 +647,8 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * len(b)
     w = bound.bit_length() // 8 + 1
     packed_a = _pack(a, w)
-    out = _unpack(packed_a * (packed_a if a is b else _pack(b, w)), w)
-    return out + [0] * (len(a) + len(b) - 1 - len(out))
+    return _unpack(packed_a * (packed_a if a is b else _pack(b, w)), w,
+                   len(a) + len(b) - 1)
 
 
 def _pack(cs: Sequence[int], w: int) -> int:
@@ -664,18 +663,21 @@ def _pack(cs: Sequence[int], w: int) -> int:
     return packed
 
 
-def _unpack(value: int, w: int) -> list[int]:
-    """The slots s[k] in [-2**(8w-1), 2**(8w-1)) of value = sum(s[k] *
-    2**(8*w*k)), up to the last nonzero one.  With n' slots,
-    2**(8w(n'-1)-2) < |value| < 2**(8wn'), so n below is n' or n' + 1; a
-    bias of 2**(8w-1) per slot makes every slot of the bytes nonnegative."""
-    n = (value.bit_length() + 1) // (8 * w) + 1
+def _unpack(value: int, w: int, n: int | None = None) -> list[int]:
+    """The n slots s[k] in [-2**(8w-1), 2**(8w-1)) of value = sum(s[k] *
+    2**(8*w*k)); a bias of 2**(8w-1) per slot makes every slot of the bytes
+    nonnegative.  Without n, the slots up to the last nonzero one: with n'
+    of them, 2**(8w(n'-1)-2) < |value| < 2**(8wn'), so the n sized from
+    bit_length below is n' or n' + 1."""
+    strip = n is None
+    if strip:
+        n = (value.bit_length() + 1) // (8 * w) + 1
     half = 1 << (8 * w - 1)
     bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
     buf = (value + bias).to_bytes(n * w, "little")
     out = [int.from_bytes(buf[k:k + w], "little") - half
            for k in range(0, n * w, w)]
-    if not out[-1]:
+    if strip and not out[-1]:
         out.pop()
     return out
 
@@ -737,28 +739,15 @@ def _divmod_ints(num: Iterable[int], den: Sequence[int],
                  p: int | None = None) -> tuple[tuple, tuple]:
     """Quotient and stripped remainder of int sequences, over Z or mod p.
 
-    Over Z the divisor is monic.  Mod p its lead is inverted once, and sums
-    run unreduced (each below (deg den + 1) * p**2) until a term is read
-    off.  The row loop subtracts each quotient term times the divisor's
-    nonzero lower terms.  Mod p, a divisor of degree >= 16 with over a
-    quarter of them nonzero runs the column loop, which takes each quotient
-    term, and at the end each remainder term, as one dot product summed in
-    C; over Z, where big-int products dominate, it measured no faster.
+    Over Z the divisor is monic.  Mod p its lead is inverted once, and the
+    remainder entries run unreduced (each below (deg den + 1) * p**2) until
+    the loop consumes them.  Only the divisor's nonzero lower terms are read.
     """
     dd = len(den) - 1
     inv = 1 if p is None else pow(den[-1], -1, p)
     terms = [(i, di) for i, di in enumerate(den[:-1]) if di]
     rem = list(num)
     quot = [0] * (len(rem) - dd)
-    if p is not None and 4 * len(terms) > dd >= 16:
-        desc = den[dd - 1::-1]
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dd] - sum(map(operator.mul, quot[k + 1:k + 1 + dd],
-                                      desc))
-            quot[k] = c % p * inv % p
-        rem = [(rem[i] - sum(map(operator.mul, quot[:i + 1], den[i::-1]))) % p
-               for i in range(min(dd, len(rem)))]
-        return tuple(quot), _strip(rem)
     for k in range(len(rem) - 1, dd - 1, -1):
         c = rem[k] if p is None else rem[k] % p * inv % p
         if c:

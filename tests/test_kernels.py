@@ -105,6 +105,7 @@ class TestConvolve:
                     slots.pop()
                 value = sum(c * base**k for k, c in enumerate(slots))
                 assert _unpack(value, w) == slots
+                assert _unpack(value, w, len(slots) + 2) == slots + [0, 0]
 
     def test_zero_runs_and_single_terms(self):
         rng = random.Random(11)
@@ -225,26 +226,6 @@ def test_z_monic_division_matches_the_ring_loop():
             assert q * den + r == num
             assert_canonical(q)
             assert_canonical(r)
-
-
-@pytest.mark.parametrize("p", (7121, 2**61 - 1))
-def test_fp_division_on_both_sides_of_the_column_switch(p):
-    """Mod p, a divisor of degree >= 16 with more than a quarter of its lower
-    terms nonzero runs the column loop of _divmod_ints, any other the row
-    loop."""
-    field = PrimeField(p)
-    rng = random.Random(p)
-    for dd, counts in ((15, (15,)), (16, (4, 5, 16)), (40, (0, 10, 11, 40))):
-        for nonzero in counts:
-            low = [c % p for c in sparse(rng, dd, nonzero, 64)]
-            den = Polynomial(field, low + [rng.randrange(1, p)])
-            for length in (0, dd - 1, dd, dd + 1, 200):
-                num = Polynomial(field, [rng.randrange(p)
-                                         for _ in range(length)])
-                expected = _divmod_generic(field, num.coeffs, den.coeffs)
-                assert _divmod_ints(num.coeffs, den.coeffs, p) == expected
-                assert _divmod_ints(iter(num.coeffs), den.coeffs,
-                                    p) == expected
 
 
 @pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["Z", "F7"])
