@@ -8,16 +8,13 @@ fields, and certifies the universal divisibility relations behind
 multiplicative relations between dynamical units.
 """
 
-from .errors import (DomainError, ExactDivisionError, NotInvertibleError,
-                     ResourceLimitError)
+from .errors import DomainError, ExactDivisionError, ResourceLimitError
 from .numtheory import (Factorization, core_and_cocore, divisors, euler_phi,
                         factorize, is_prime, mobius, squarefree_divisors)
 from .polycore import (QA, QQ, CoefficientRing, ParamRing, Polynomial,
                        PrimeField, Rationals, is_squarefree, parse_polynomial,
                        poly_gcd, resultant)
-from .necklace import (PsiElement, PsiQuotient, dynamical_necklace,
-                       fast_xn1_divides, necklace_operator,
-                       necklace_operator_factored, necklace_poly, psi_vanishes)
+from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
 from .cyclotomic import (CycloFactorReport, cyclo_factor_scan,
                          cyclotomic_candidates, cyclotomic_poly, xn1_divides)
 from .characters import (Character, CoverCertificate, UnitGroup, characters,

@@ -19,8 +19,9 @@ and x**n - 1 | M_d exactly when every character is harmless.  For d coprime
 to n, D = 1, P is empty and the one modulus is n itself, so this is the
 plain hyperplane cover over the usable primes.
 
-Proof that the last two clauses are the stratum test.  The D-part of the
-bracket sum is the sum of mu(e)*[D/e] over squarefree e | D.  Its classes
+Proof that the last two clauses are the stratum test.  Write [k] for the
+class of the exponent k mod n.  The D-part of the Moebius sum d*M_d, folded
+mod x**n - 1, is the sum of mu(e)*[D/e] over squarefree e | D.  Its classes
 split into strata by g = gcd(D/e, n), and the class [D/e] of stratum g
 identifies with the unit (D/e)/g of the modulus m = n/g.  A character with
 no usable witness is harmless exactly when it annihilates every stratum sum

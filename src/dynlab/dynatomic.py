@@ -13,9 +13,9 @@ Tuple arithmetic alone decides whether a preperiod/period pair (m, n)
 universally divides the shifted (c, d) dynatomic: those checks live in
 ``relation_conditions``; ``verify_relation`` performs the polynomial leg
 for a concrete or parametric f.  It works modulo D = Phi_{f,m,n}, which
-divides f**(m+n) - f**m, so f**k is congruent to f**k' for
-k' = PsiQuotient(m, n).reduce_index(k).  Two routes, chosen by the tuple
-and D alone:
+divides f**(m+n) - f**m, so f**k is congruent to f**k' for k' = k below
+m + n and k' = m + ((k - m) mod n) above (``_reduce_index``).  Two routes,
+chosen by the tuple and D alone:
 
 1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences.
    Dividing D out of each factor it divides gives Phi_{f,c,d} * Dn' =
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, ResourceLimitError
-from .necklace import PsiQuotient, fast_xn1_divides
+from .necklace import fast_xn1_divides
 from .numtheory import core_and_cocore, divisors, squarefree_divisors
 from .polycore import QA, QQ, Polynomial, _iterates, resultant
 
@@ -256,6 +256,11 @@ def _unit_lead(divisor: Polynomial) -> bool:
     return divisor.ring is not QA or len(divisor.lc) == 1
 
 
+def _reduce_index(m: int, n: int, k: int) -> int:
+    """The k' < m + n with f**k congruent to f**k' mod f**(m+n) - f**m."""
+    return k if k < m + n else m + (k - m) % n
+
+
 def _quotient_remainder(t: RelationTuple, f: Polynomial,
                         divisor: Polynomial, cap: int) -> Polynomial | None:
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
@@ -268,12 +273,12 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
     the cap; a factor left 0 mod D leaves the leg to verify_relation.
     """
     ring = f.ring
-    index = PsiQuotient(t.m, t.n).reduce_index
     residues = _iterates(f, range(t.m + t.n), divisor)
     shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
     factors = [(pre + t.d // e, pre, mu * sign)
                for e, mu in squarefree_divisors(t.d) for pre, sign in shifts]
-    reduced = [residues[index(i)] - residues[index(j)] for i, j, _ in factors]
+    reduced = [residues[_reduce_index(t.m, t.n, i)]
+               - residues[_reduce_index(t.m, t.n, j)] for i, j, _ in factors]
     top = generalized_dynatomic_degree(f.degree, t.c, t.d)
     lifts = None
     if 2 * divisor.degree < top <= cap and any(r.is_zero for r in reduced):

@@ -20,9 +20,5 @@ class ExactDivisionError(ArithmeticError):
         self.remainder = remainder
 
 
-class NotInvertibleError(ArithmeticError):
-    """An element has no multiplicative inverse in the requested quotient."""
-
-
 class ResourceLimitError(RuntimeError):
     """A computation would exceed a configured size or degree cap."""

@@ -16,7 +16,7 @@ from dynlab.cyclotomic import cyclo_factor_scan
 from dynlab.dynatomic import (DivisibilityEvidence, RelationCertificate,
                               RelationTuple, relation_conditions)
 from dynlab.errors import DomainError
-from dynlab.necklace import PsiQuotient, fast_xn1_divides
+from dynlab.necklace import fast_xn1_divides
 from dynlab.numtheory import Factorization, factorize
 from dynlab.polycore import QQ, parse_polynomial
 
@@ -479,7 +479,6 @@ _TUPLE = RelationTuple(m=1, n=2, c=1, d=3)
 RECORDS = [
     (factorize(12), "Factorization(value=12, factors=((2, 2), (3, 1)))",
      "value"),
-    (PsiQuotient(m=1, n=2), "PsiQuotient(m=1, n=2)", "n"),
     (cyclo_factor_scan(parse_polynomial("x^3 - x", QQ)),
      "CycloFactorReport(input_degree=3, x_multiplicity=1, "
      "cyclo_indices=((1, 1), (2, 1)), cofactor_degree=0, "
@@ -524,8 +523,6 @@ class TestRecords:
         lambda: Factorization(value=4, factors=((4, 1),)),
         lambda: Factorization(value=6, factors=((3, 1), (2, 1))),
         lambda: Factorization(value=1, factors=((2, 0),)),
-        lambda: PsiQuotient(m=-1, n=1),
-        lambda: PsiQuotient(m=0, n=0),
         lambda: Character(group=unit_group(5), exponents=(4,)),
         lambda: Character(group=unit_group(5), exponents=(1, 0)),
         lambda: RelationTuple(m=0, n=0, c=0, d=1),

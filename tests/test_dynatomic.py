@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense_fold_divisible, dense_necklace_int_coeffs
 from dynlab import dynatomic
 from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
                               _quotient_remainder, _unit_lead,
@@ -161,6 +162,20 @@ class TestConditions:
     def test_cocore_clause(self):
         assert not relation_conditions(RelationTuple(3, 1, 0, 6)).cond2
         assert relation_conditions(RelationTuple(3, 1, 0, 8)).cond2
+
+    def test_cond2_and_cond3_are_the_necklace_fold(self):
+        # x**m' * (x**n - 1) | d*M_d with m' = max(0, m - max(c-1, 0)):
+        # cond2 is the x-power, cond3 the x**n - 1 factor
+        folds = {}
+        for m, c, n, d in itertools.product(range(6), range(6), range(1, 13),
+                                            range(1, 61)):
+            shift = max(0, m - max(c - 1, 0))
+            if (d, shift, n) not in folds:
+                folds[d, shift, n] = dense_fold_divisible(
+                    dense_necklace_int_coeffs(d), n, shift)
+            report = relation_conditions(RelationTuple(m, n, c, d))
+            assert (report.cond2 and report.cond3) == folds[d, shift, n], \
+                (m, n, c, d)
 
     def test_json_shape(self):
         data = relation_conditions(RelationTuple(1, 2, 1, 3)).to_json_dict()

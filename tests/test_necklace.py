@@ -1,15 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import dense_fold_divisible, dense_necklace_int_coeffs
-from dynlab.errors import DomainError, NotInvertibleError
-from dynlab.necklace import (PsiElement, PsiQuotient, dynamical_necklace,
-                             fast_xn1_divides, necklace_operator,
-                             necklace_operator_factored, necklace_poly,
-                             psi_vanishes)
-from dynlab.numtheory import core_and_cocore, factorize
+from conftest import (dense_fold, dense_fold_divisible,
+                      dense_necklace_int_coeffs, factored_necklace_fold,
+                      fold_index, fold_inverse)
+from dynlab.dynatomic import _reduce_index
+from dynlab.errors import DomainError
+from dynlab.necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
+from dynlab.numtheory import core_and_cocore
 from dynlab.polycore import QQ, Polynomial, PrimeField, parse_polynomial
 
 X = Polynomial.x(QQ)
@@ -37,71 +36,48 @@ class TestNecklacePolynomial:
         for d in range(1, 1500):
             assert necklace_poly(d).x_valuation == core_and_cocore(d)[1]
 
+    def test_matches_dense_oracle(self):
+        zero = Fraction(0)
+        for d in range(1, 2001):
+            coeffs = necklace_poly(d).coeffs
+            assert all(type(c) is Fraction for c in coeffs), d
+            assert coeffs == tuple(Fraction(c, d) if c else zero
+                                   for c in dense_necklace_int_coeffs(d)), d
+
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             necklace_poly(0)
 
 
-class TestNecklaceOperator:
-    def test_small_operators(self):
-        assert necklace_operator(1) == PsiElement.bracket(1)
-        assert necklace_operator(7) == PsiElement([(7, 1), (1, -1)])
-        assert necklace_operator(6) == PsiElement([(6, 1), (3, -1), (2, -1), (1, 1)])
-
-    def test_cancellation_free_parts(self):
-        phi = necklace_operator(30)
-        pos, neg = phi.positive_part(), phi.negative_part()
-        assert pos - neg == phi
-        assert all(c > 0 for _, c in pos.terms)
-        assert all(c > 0 for _, c in neg.terms)
-        assert not set(k for k, _ in pos.terms) & set(k for k, _ in neg.terms)
-
-    def test_operator_applied_to_monomials_gives_necklace(self):
-        for d in (1, 2, 6, 12, 105):
-            poly = necklace_operator(d).apply_to_monomials()
-            assert poly.scale(Fraction(1, d)) == necklace_poly(d)
-
-
 class TestPsiQuotient:
+    """The paper's bracket identities in the (m, n) quotient, where [k] is
+    x**k folded modulo x**m * (x**n - 1), checked on the conftest oracles."""
+
     def test_reduce_examples(self):
-        assert PsiQuotient(0, 2).reduce(necklace_operator(6)).is_zero
-        assert PsiQuotient(2, 2).reduce(necklace_operator(4)).is_zero
-        one = PsiElement.bracket(1)
+        assert dense_fold_divisible(dense_necklace_int_coeffs(6), 2, 0)
+        assert dense_fold_divisible(dense_necklace_int_coeffs(4), 2, 2)
         for m, n in ((0, 2), (1, 1), (3, 4)):
-            assert PsiQuotient(m, n).reduce(one) == one
+            assert dense_fold([0, 1], n, m) == [0, 1] + [0] * (m + n - 2)
 
     def test_zero_index_folds_at_m_zero(self):
-        e = PsiElement([(6, 1), (2, 1)])
-        assert PsiQuotient(0, 2).reduce(e) == PsiElement([(0, 2)])
+        # [6] + [2] in the (0, 2) quotient is 2[0]
+        assert dense_fold([0, 0, 1, 0, 0, 0, 1], 2, 0) == [2, 0]
 
     def test_representative_window(self):
-        q = PsiQuotient(2, 3)
         for k in range(40):
-            r = q.reduce_index(k)
+            r = _reduce_index(2, 3, k)
             assert 0 <= r < 5
             if k < 5:
                 assert r == k
             else:
                 assert r >= 2 and (r - k) % 3 == 0
 
-    def test_reduce_is_additive_and_multiplicative(self):
-        rng = random.Random(8)
-        for _ in range(200):
-            q = PsiQuotient(rng.randint(0, 4), rng.randint(1, 6))
-            e1 = PsiElement([(rng.randint(0, 50), rng.randint(-3, 3))
-                             for _ in range(4)])
-            e2 = PsiElement([(rng.randint(0, 50), rng.randint(-3, 3))
-                             for _ in range(4)])
-            assert q.reduce(e1 + e2) == q.reduce(q.reduce(e1) + q.reduce(e2))
-            assert q.reduce(e1 * e2) == q.reduce(q.reduce(e1) * q.reduce(e2))
-
     def test_bracket_inverse(self):
-        q = PsiQuotient(0, 4)
-        assert q.bracket_mul(3, q.bracket_inverse(3)) == 1
-        with pytest.raises(NotInvertibleError):
-            PsiQuotient(2, 2).bracket_inverse(2)
-        with pytest.raises(NotInvertibleError):
-            PsiQuotient(0, 4).bracket_inverse(2)
+        assert fold_index(3 * fold_inverse(3, 4, 0), 4, 0) == 1
+        with pytest.raises(ArithmeticError):
+            fold_inverse(2, 2, 2)
+        with pytest.raises(ArithmeticError):
+            fold_inverse(2, 4, 0)
 
     def test_factored_operator_matches_mobius_sum(self):
         # [d] * prod (1 - [p]^{-1}) equals the alternating bracket sum in
@@ -109,27 +85,28 @@ class TestPsiQuotient:
         cases = [(6, 0, 7), (6, 0, 11), (10, 0, 7), (105, 0, 4),
                  (105, 1, 8), (30, 1, 7), (12, 0, 7)]
         for d, m, n in cases:
-            q = PsiQuotient(m, n)
-            assert necklace_operator_factored(d, q) == \
-                q.reduce(necklace_operator(d)), (d, m, n)
+            assert factored_necklace_fold(d, n, m) == \
+                dense_fold(dense_necklace_int_coeffs(d), n, m), (d, m, n)
 
 
 class TestVanishing:
     def test_spec_triples(self):
-        assert psi_vanishes(6, 0, 2)
-        assert not psi_vanishes(6, 2, 2)
-        assert psi_vanishes(4, 2, 2)
+        assert dense_fold_divisible(dense_necklace_int_coeffs(6), 2, 0)
+        assert not dense_fold_divisible(dense_necklace_int_coeffs(6), 2, 2)
+        assert dense_fold_divisible(dense_necklace_int_coeffs(4), 2, 2)
 
     def test_vanishing_iff_polynomial_divisibility(self):
         # both directions on the grid d <= 60, m <= 4, n <= 12
         for d in range(1, 61):
+            coeffs = dense_necklace_int_coeffs(d)
             dmd = necklace_poly(d).scale(d)  # integer coefficients
             for m in range(0, 5):
                 for n in range(1, 13):
                     modulus = Polynomial.monomial(QQ, m) * \
                         (Polynomial.monomial(QQ, n) - 1)
                     divisible = (dmd % modulus).is_zero
-                    assert psi_vanishes(d, m, n) == divisible, (d, m, n)
+                    assert dense_fold_divisible(coeffs, n, m) == divisible, \
+                        (d, m, n)
 
 
 class TestFastDivisibility:
@@ -221,9 +198,6 @@ class TestDynamicalNecklace:
 
 # Refusals: (call, exception, message fragment)
 REFUSALS = [
-    pytest.param(lambda: necklace_operator(0),
-                 DomainError, "necklace operator index must be >= 1",
-                 id="operator-d0"),
     pytest.param(lambda: fast_xn1_divides(0, 3),
                  DomainError, "fast_xn1_divides needs d, n >= 1",
                  id="fast_xn1_divides-d0"),
