@@ -29,9 +29,23 @@ from .numtheory import core_and_cocore, divisors, squarefree_divisors
 from .polycore import QA, QQ, PrimeField, Polynomial, parse_polynomial
 
 
+# A piece longer than this many characters is written in slices of it.
+_SLICE = 1 << 16
+
+
 def _write_pieces(handle, pieces) -> None:
-    """Write the pieces, then a newline unless the last one ends with it."""
-    handle.writelines(pieces)
+    """Write the pieces, then a newline unless the last one ends with it.
+
+    A text handle encodes each write into one bytes copy, so a piece longer
+    than _SLICE characters goes in slices of that length, and no copy of it
+    is made whole.  A shorter piece is written as it is.
+    """
+    for piece in pieces:
+        if len(piece) > _SLICE:
+            for k in range(0, len(piece), _SLICE):
+                handle.write(piece[k:k + _SLICE])
+        else:
+            handle.write(piece)
     if not pieces[-1].endswith("\n"):
         handle.write("\n")
 
@@ -52,8 +66,10 @@ def _json_pieces(value) -> list[str]:
     None; anything else raises TypeError.  The whole document is rendered
     before anything is written, so a failure (say, an int past the
     int-to-str digit limit) leaves no partial output.  Each list item starts
-    a new piece, each string is a piece of its own, and a list of plain ints
-    is one join, so no copy of the whole document or of a long list is made.
+    a new piece, and a list of plain ints is one join, so no copy of the
+    whole document or of a long list is made.  A string value that needs no
+    escape (printable ASCII without ``"`` or ``\\``) is itself a piece, so
+    no copy of it is made either; any other string is a piece as quoted.
     """
     # here, not at module level: most commands never encode
     from json.encoder import encode_basestring_ascii as quote
@@ -64,6 +80,10 @@ def _json_pieces(value) -> list[str]:
         """Render value at indentation nl after head; return the text that is
         still to be written (pieces already in ``out`` come first)."""
         if isinstance(value, str):
+            if (value.isascii() and value.isprintable() and '"' not in value
+                    and "\\" not in value):
+                out.extend((head + '"', value))
+                return '"'
             out.extend((head, quote(value)))
             return ""
         if value is None or value is True or value is False:
@@ -132,7 +152,7 @@ def _cmd_necklace(args) -> int:
     if args.format == "json":
         _emit(*_json_pieces({"d": args.d, "f": args.f, **_poly_payload(poly)}))
     else:
-        _emit(f"{label} = {poly.to_text()}")
+        _emit(f"{label} = ", poly.to_text())
     return 0
 
 
@@ -187,6 +207,9 @@ def _cmd_dynatomic(args) -> int:
         if args.m is None or args.n is None:
             sys.stderr.write("--m and --n go together\n")
             return 1
+        if args.d is not None:
+            sys.stderr.write("--d does not go with --m/--n\n")
+            return 1
         poly = generalized_dynatomic(f, args.m, args.n)
         label = f"Phi_{{f,{args.m},{args.n}}}"
     elif args.d is not None:
@@ -198,7 +221,7 @@ def _cmd_dynatomic(args) -> int:
     if args.format == "json":
         _emit(*_json_pieces({"f": f.to_text(), **_poly_payload(poly)}))
     else:
-        _emit(f"{label} = {poly.to_text()}")
+        _emit(f"{label} = ", poly.to_text())
     return 0
 
 

@@ -640,10 +640,8 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return out
     # Every output coefficient is a sum of at most len(b) products ai*bj,
     # so |out[k]| <= max|a| * max|b| * len(b) <= bound, which also bounds
-    # every input coefficient (hence the "or 1").  A slot of w bytes with
-    # 2**(8w-1) > bound holds each input and each out[k] + 2**(8w-1) in
-    # [0, 2**(8w)), so adding that bias to every slot of the product and
-    # reading the slots back is exact.
+    # every input coefficient (hence the "or 1").  A signed slot of w bytes
+    # with 2**(8w-1) > bound holds each input and each out[k] exactly.
     bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * len(b)
     w = bound.bit_length() // 8 + 1
     packed_a = _pack(a, w)
@@ -665,21 +663,23 @@ def _pack(cs: Sequence[int], w: int) -> int:
 
 def _unpack(value: int, w: int, n: int | None = None) -> list[int]:
     """The n slots s[k] in [-2**(8w-1), 2**(8w-1)) of value = sum(s[k] *
-    2**(8*w*k)); a bias of 2**(8w-1) per slot makes every slot of the bytes
-    nonnegative.  Without n, the slots up to the last nonzero one: with n'
-    of them, 2**(8w(n'-1)-2) < |value| < 2**(8wn'), so the n sized from
-    bit_length below is n' or n' + 1."""
+    2**(8*w*k)), read signed from n + 1 slots of value's bytes (n slots of
+    -2**(8w-1) overflow n), each plus 1 if the one below read negative or
+    came to 2**(8w-1), then -2**(8w-1).  Without n, the slots up to the last
+    nonzero one; n' of them put |value| in (2**(8w(n'-1)-2), 2**(8wn')), so
+    the n sized from bit_length is n' or n' + 1."""
     strip = n is None
     if strip:
         n = (value.bit_length() + 1) // (8 * w) + 1
-    half = 1 << (8 * w - 1)
-    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-    buf = (value + bias).to_bytes(n * w, "little")
-    out = [int.from_bytes(buf[k:k + w], "little") - half
-           for k in range(0, n * w, w)]
-    if strip and not out[-1]:
-        out.pop()
-    return out
+    buf = value.to_bytes(n * w + w, "little", signed=True)
+    half, read = 1 << (8 * w - 1), int.from_bytes
+    out = [read(buf[k:k + w], "little", signed=True) + (k and buf[k - 1] >> 7)
+           for k in range(0, len(buf), w)]
+    for k in range(n) if half in out else ():
+        if out[k] == half:
+            out[k], out[k + 1] = -half, out[k + 1] + 1
+    out.pop()  # slot n: 0 for every value that n slots hold
+    return out[:-1] if strip and not out[-1] else out
 
 
 def _clear_denominators(cs: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -11,7 +11,8 @@ import dynlab
 from dynlab import dynatomic
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
 from dynlab.characters import Character, covers, unit_group
-from dynlab.cli import main, scan_csv, scan_rows, scan_svg
+from dynlab.cli import (_SLICE, _write_file, _write_pieces, main, scan_csv,
+                        scan_rows, scan_svg)
 from dynlab.cyclotomic import cyclo_factor_scan
 from dynlab.dynatomic import (DivisibilityEvidence, RelationCertificate,
                               RelationTuple, relation_conditions)
@@ -89,7 +90,9 @@ class TestDynatomicCommand:
     @pytest.mark.parametrize("argv,message", [
         (("--m", "1"), "--m and --n go together\n"),
         ((), "need --d or --m/--n\n"),
-    ], ids=["m_without_n", "no_index"])
+        (("--d", "3", "--m", "1", "--n", "2"),
+         "--d does not go with --m/--n\n"),
+    ], ids=["m_without_n", "no_index", "d_with_m_and_n"])
     def test_missing_index_exit_one(self, capsys, argv, message):
         code = main(["dynatomic", "--f", "x^2+1", *argv])
         captured = capsys.readouterr()
@@ -408,6 +411,42 @@ def test_scan_helpers_consistent():
     assert csv.count("\n") == len(rows) + 1
     svg = "".join(scan_svg(rows, 20, 10))
     assert svg.count("height=\"2\"") == len(rows)
+
+
+class TestWritePieces:
+    """Long pieces go out in slices; the bytes are those of the join."""
+
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    @staticmethod
+    def pieces(size):
+        return ["head\n", "a" * size, "\u00e9" * size,
+                ("x\u20ac\U0001F600" * size)[:size], "short", "\n" * size,
+                "\U0001F600" * size, "tail"]
+
+    @pytest.mark.parametrize("size", [_SLICE - 1, _SLICE, _SLICE + 1])
+    def test_file_holds_exactly_the_joined_pieces(self, tmp_path, size):
+        pieces = self.pieces(size)
+        path = tmp_path / "out.txt"
+        _write_file(str(path), pieces)
+        assert path.read_bytes() == ("".join(pieces) + "\n").encode("utf-8")
+        _write_file(str(path), pieces + ["\n"])
+        assert path.read_bytes() == ("".join(pieces) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("size", [_SLICE - 1, _SLICE, _SLICE + 1])
+    def test_no_write_is_longer_than_a_slice(self, size):
+        pieces = self.pieces(size)
+        handle = self.Recorder()
+        _write_pieces(handle, pieces)
+        assert "".join(handle.writes) == "".join(pieces) + "\n"
+        assert max(map(len, handle.writes)) == min(size, _SLICE)
+        short = [p for p in pieces if len(p) <= _SLICE]
+        assert all(any(w is p for w in handle.writes) for p in short)
 
 
 class TestCommandJsonEncodedOnce:

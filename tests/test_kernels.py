@@ -36,6 +36,22 @@ def schoolbook(a, b):
     return out
 
 
+def bias_unpack(value, w, n=None):
+    """The slot reader _unpack replaced: a bias of 2**(8w-1) added to every
+    slot of value makes each one nonnegative, read back unsigned."""
+    strip = n is None
+    if strip:
+        n = (value.bit_length() + 1) // (8 * w) + 1
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    buf = (value + bias).to_bytes(n * w, "little")
+    out = [int.from_bytes(buf[k:k + w], "little") - half
+           for k in range(0, n * w, w)]
+    if strip and not out[-1]:
+        out.pop()
+    return out
+
+
 def signed(rng, bits):
     if bits == 0:
         return 0
@@ -92,20 +108,30 @@ class TestConvolve:
 
     def test_unpack_reads_every_signed_slot(self):
         # slots of -2**(8w-1) below a top slot of 1 put |value| just above
-        # 2**(8w(n-1)-2), the bound that sizes the slot count
+        # 2**(8w(n-1)-2), the bound that sizes the slot count; runs of slots
+        # at either end of the range, both alternations and a negative top
+        # slot make the borrows land on slots that wrap
         rng = random.Random(8)
         for w in (1, 2, 5):
             half, base = 1 << (8 * w - 1), 1 << (8 * w)
             edge = (-half, -half + 1, -1, 0, 1, half - 1)
-            for _ in range(400):
-                slots = [rng.choice(edge) if rng.random() < 0.7
-                         else rng.randrange(-half, half)
-                         for _ in range(rng.randint(0, 7))]
+            drawn = [[rng.choice(edge) if rng.random() < 0.7
+                      else rng.randrange(-half, half)
+                      for _ in range(rng.randint(0, 7))] for _ in range(400)]
+            extreme = [slots for n in range(1, 7) for slots in (
+                [-half] * n, [half - 1] * n, [-half, half - 1] * n,
+                [half - 1, -half] * n, [half - 1] * n + [-half],
+                [1] * n + [-1], [-half] * n + [-1], [0] * n + [-half])]
+            for slots in drawn + extreme + [[]]:
                 while slots and not slots[-1]:
                     slots.pop()
                 value = sum(c * base**k for k, c in enumerate(slots))
-                assert _unpack(value, w) == slots
-                assert _unpack(value, w, len(slots) + 2) == slots + [0, 0]
+                assert _unpack(value, w) == slots == bias_unpack(value, w)
+                for extra in (0, 1, 2):
+                    size = len(slots) + extra
+                    assert (_unpack(value, w, size)
+                            == bias_unpack(value, w, size)
+                            == slots + [0] * extra)
 
     def test_zero_runs_and_single_terms(self):
         rng = random.Random(11)

@@ -10,7 +10,8 @@ deg b, over Z, F_p and Q[a].  A sign after ``*`` negates the power that
 follows it.  A coerced ring element must be falsy exactly when it is zero,
 since that truth test is the rings' only zero test.  Every root of unity
 that the cyclotomic scan's filter uses must have the order it stands for.
-The CLI's JSON writer must give the text of ``json.dumps(v, indent=2)``.
+The CLI's JSON writer must give the text of ``json.dumps(v, indent=2)``,
+and pass a long string that needs no escape through as itself.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -344,3 +345,26 @@ def test_json_writer_keeps_long_string_lists_in_pieces():
     assert "".join(pieces) == json.dumps(
         {"text": "x", "json": {"ring": "Q", "coeffs": coeffs}}, indent=2)
     assert max(map(len, pieces)) <= max(len(c) for c in coeffs) + 20
+
+
+# Either side of the writer's no-copy test: printable ASCII without '"' or
+# '\\' is a piece as it is, anything else goes through the quoting.
+NO_COPY_EDGE = ["", "".join(map(chr, range(0x20, 0x7F))), '"', "\\",
+                'x^2 "a"', "1\\2", "\x7f", "a\x7fb", "\x00", "\x1f", "\t",
+                "x\n", "\u00e9", "na\u00efve", "\u2028", "\U0001F600",
+                "x\U0001F600y", " ", "~"]
+
+
+@pytest.mark.parametrize("text", NO_COPY_EDGE)
+def test_json_writer_matches_json_dumps_at_the_no_copy_boundary(text):
+    for value in (text, [text, text, 1], {"k": text, text: [text], "n": 0},
+                  [[text], {"k": [text]}]):
+        assert "".join(_json_pieces(value)) == json.dumps(value, indent=2)
+
+
+def test_json_writer_passes_escape_free_strings_by_identity():
+    text = " + ".join(f"{k}*x^{k}" for k in range(1, 20000))
+    coeff = "-" + "1234567890" * 300
+    pieces = _json_pieces({"text": text, "json": {"coeffs": [coeff, "1/2"]}})
+    assert any(p is text for p in pieces)
+    assert any(p is coeff for p in pieces)
