@@ -68,7 +68,8 @@ class UnitGroup(NamedTuple):
     """Cyclic decomposition of the units mod n with a full dlog table.
 
     Generator orders are prime powers; their product is phi(n).  ``dlog``
-    maps every unit residue to its exponent vector over the generators.
+    maps every unit residue to its exponent vector over the generators, in
+    the order of ``itertools.product`` over the orders (``characters()``).
     """
 
     modulus: int
@@ -141,13 +142,25 @@ def _primitive_root_mod_pk(p: int, k: int) -> int:
     return g
 
 
+def _times_powers(residues: Iterator[int], g: int, order: int,
+                  n: int) -> Iterator[int]:
+    """r * g**j mod n for each r of residues and j < order, j fastest."""
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * g % n)
+    for r in residues:
+        for x in powers:
+            yield r * x % n
+
+
 @lru_cache(maxsize=None)
 def unit_group(n: int) -> UnitGroup:
     """Structure of the unit group mod n as prime-power cyclic factors.
 
     Odd prime powers contribute a primitive root, split into prime-power
     pieces; 2**k with k >= 3 contributes -1 and 5.  The dlog table is built
-    by brute-force enumeration, which is why phi(n) is capped.
+    by brute-force enumeration, which is why phi(n) is capped: one pass pairs
+    the residues, made lazily, with ``itertools.product`` over the orders.
     """
     if n < 1:
         raise DomainError("modulus must be >= 1")
@@ -181,22 +194,10 @@ def unit_group(n: int) -> UnitGroup:
                 piece = r**a
                 gens.append((lift(pow(g, order // piece, q)), piece))
     exponent = math.lcm(*(o for _, o in gens)) if gens else 1
-    residues = [1]
-    vectors = [tuple([0] * len(gens))]
-    for idx, (g, order) in enumerate(gens):
-        powers = [1]
-        for _ in range(order - 1):
-            powers.append(powers[-1] * g % n)
-        new_residues = []
-        new_vectors = []
-        for r, v in zip(residues, vectors):
-            for j, gp in enumerate(powers):
-                new_residues.append(r * gp % n)
-                vec = list(v)
-                vec[idx] = j
-                new_vectors.append(tuple(vec))
-        residues, vectors = new_residues, new_vectors
-    table = dict(zip(residues, vectors))
+    residues: Iterator[int] = iter((1,))
+    for g, order in gens:
+        residues = _times_powers(residues, g, order, n)
+    table = dict(zip(residues, itertools.product(*(range(o) for _, o in gens))))
     if len(table) != phi:  # pragma: no cover - structural self-check
         raise AssertionError(f"unit group mod {n}: enumerated {len(table)} "
                              f"of {phi} residues")
@@ -205,8 +206,9 @@ def unit_group(n: int) -> UnitGroup:
 
 
 def characters(group: UnitGroup) -> Iterator[Character]:
-    """All phi(n) characters, in lexicographic exponent order."""
-    for exps in itertools.product(*(range(o) for o in group.orders)):
+    """All phi(n) characters, in lexicographic exponent order (that of
+    the dlog table's vectors)."""
+    for exps in group.dlog.values():
         yield Character(group, exps)
 
 
@@ -227,17 +229,31 @@ class CoverCertificate(NamedTuple):
     witnesses: tuple[tuple[tuple[int, ...], int | None], ...]
     failing_character: tuple[int, ...] | None
 
-    def to_json_dict(self) -> dict:
+    def lazy_json_dict(self) -> dict:
+        """The certificate's JSON object, with tuples for arrays and the
+        witness entries as a one-pass iterator, so that a writer can render
+        them one at a time (``json.dumps`` needs ``to_json_dict``)."""
         return {
             "d": str(self.d),
             "n": self.n,
-            "usable_primes": list(self.usable_primes),
+            "usable_primes": self.usable_primes,
             "covered": self.covered,
-            "witnesses": [{"chi": list(chi), "p": p}
-                          for chi, p in self.witnesses],
-            "failing_character": (None if self.failing_character is None
-                                  else list(self.failing_character)),
+            "witnesses": ({"chi": chi, "p": p} for chi, p in self.witnesses),
+            "failing_character": self.failing_character,
         }
+
+    def to_json_dict(self) -> dict:
+        """``lazy_json_dict`` with every array a list."""
+        return _as_lists(self.lazy_json_dict())
+
+
+def _as_lists(value):
+    """value with each tuple or iterator in it, at any depth, made a list."""
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if value is None or isinstance(value, (str, int)):
+        return value
+    return [_as_lists(item) for item in value]
 
 
 def _entangled_hyperplanes(d: int, n: int) -> tuple[list[int], set[int]]:
@@ -287,7 +303,8 @@ def covers(d: int, n: int) -> CoverCertificate:
     a stratum modulus (see the module docstring for the proof).  The
     ``covered`` verdict always matches ``fast_xn1_divides(d, n)``; the
     certificate carries one witness (or None) per character and is
-    independently re-checkable.
+    independently re-checkable.  Its exponent vectors are the dlog table's
+    own tuples, which ``unit_group`` lists in ``characters()`` order.
     """
     if d < 1 or n < 1:
         raise DomainError("covers needs d, n >= 1")
@@ -297,7 +314,7 @@ def covers(d: int, n: int) -> CoverCertificate:
     for p in reversed(usable):  # so that the first usable prime wins
         found = [p if a == 0 else w
                  for a, w in zip(_angle_table(group, p), found)]
-    vectors = list(itertools.product(*(range(o) for o in group.orders)))
+    vectors = group.dlog.values()  # in characters() order, shared
     failing: tuple[int, ...] | None = None
     if None in found:
         lifts, moduli = _entangled_hyperplanes(d, n)

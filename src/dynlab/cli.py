@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .characters import covers
 from .cyclotomic import cyclo_factor_scan, cyclotomic_poly
@@ -33,20 +34,22 @@ from .polycore import QA, QQ, PrimeField, Polynomial, parse_polynomial
 _SLICE = 1 << 16
 
 
-def _write_pieces(handle, pieces) -> None:
+def _write_pieces(handle, pieces: Iterable[str]) -> None:
     """Write the pieces, then a newline unless the last one ends with it.
 
-    A text handle encodes each write into one bytes copy, so a piece longer
-    than _SLICE characters goes in slices of that length, and no copy of it
-    is made whole.  A shorter piece is written as it is.
+    ``pieces`` is any iterable of strings, a generator included, and is
+    consumed once.  A text handle encodes each write into one bytes copy, so
+    a piece longer than _SLICE characters goes in slices of that length, and
+    no copy of it is made whole.  A shorter piece is written as it is.
     """
+    piece = ""
     for piece in pieces:
         if len(piece) > _SLICE:
             for k in range(0, len(piece), _SLICE):
                 handle.write(piece[k:k + _SLICE])
         else:
             handle.write(piece)
-    if not pieces[-1].endswith("\n"):
+    if not piece.endswith("\n"):
         handle.write("\n")
 
 
@@ -54,7 +57,7 @@ def _emit(*pieces: str) -> None:
     _write_pieces(sys.stdout, pieces)
 
 
-def _write_file(path: str, pieces: list[str]) -> None:
+def _write_file(path: str, pieces: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         _write_pieces(handle, pieces)
 
@@ -63,13 +66,16 @@ def _json_pieces(value) -> list[str]:
     """The text of ``json.dumps(value, indent=2)``, as a list of pieces.
 
     ``value`` is built from dict (str keys), list, tuple, str, int, bool and
-    None; anything else raises TypeError.  The whole document is rendered
-    before anything is written, so a failure (say, an int past the
-    int-to-str digit limit) leaves no partial output.  Each list item starts
-    a new piece, and a list of plain ints is one join, so no copy of the
-    whole document or of a long list is made.  A string value that needs no
-    escape (printable ASCII without ``"`` or ``\\``) is itself a piece, so
-    no copy of it is made either; any other string is a piece as quoted.
+    None; anything else raises TypeError.  An array may also be an iterator
+    (a generator, say): it is consumed once and rendered exactly as the list
+    of its items would be, so its items need not exist all at once.  The
+    whole document is rendered before anything is written, so a failure
+    (say, an int past the int-to-str digit limit) leaves no partial output.
+    Each array item starts a new piece, and a list or tuple of plain ints is
+    one join, so no copy of the whole document or of a long array is made.
+    A string value that needs no escape (printable ASCII without ``"`` or
+    ``\\``) is itself a piece, so no copy of it is made either; any other
+    string is a piece as quoted.
     """
     # here, not at module level: most commands never encode
     from json.encoder import encode_basestring_ascii as quote
@@ -103,32 +109,32 @@ def _json_pieces(value) -> list[str]:
                 text = put(text + sep + quote(key) + ": ", item, inner)
                 sep = "," + inner
             return text + nl + "}"
+        inner = nl + "  "
         if isinstance(value, (list, tuple)):
-            if not value:
-                return head + "[]"
-            inner = nl + "  "
-            if all(type(item) is int for item in value):
+            if value and all(type(item) is int for item in value):
                 return (head + "[" + inner
                         + ("," + inner).join(map(int.__repr__, value))
                         + nl + "]")
-            head, comma = head + "[" + inner, "," + inner
-            for item in value:
-                text = put(head, item, inner)
-                if text:
-                    out.append(text)
-                head = comma
-            return nl + "]"
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        f"is not JSON serializable")
+        elif not hasattr(value, "__next__"):
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            f"is not JSON serializable")
+        sep, comma = head + "[" + inner, "," + inner
+        for item in value:
+            text = put(sep, item, inner)
+            if text:
+                out.append(text)
+            sep = comma
+        return nl + "]" if sep is comma else head + "[]"
 
     out.append(put("", value, "\n"))
     return out
 
 
-def _write_certificate(cert, path: str | None, fmt: str) -> None:
-    """Encode cert's JSON once, for the file at path and for --format json."""
+def _write_certificate(make_json, path: str | None, fmt: str) -> None:
+    """Encode the value make_json() returns once, for the file at path and
+    for --format json."""
     if path or fmt == "json":
-        pieces = _json_pieces(cert.to_json_dict())
+        pieces = _json_pieces(make_json())
         if path:
             _write_file(path, pieces)
         if fmt == "json":
@@ -250,7 +256,7 @@ def _cmd_relation(args) -> int:
     cert = build_relation_certificate(
         t, family=family, family_label=label, trials=args.trials,
         seed=args.seed, cap=args.degree_max, force=args.force)
-    _write_certificate(cert, args.out, args.format)
+    _write_certificate(cert.to_json_dict, args.out, args.format)
     if args.format == "text":
         # rendered whole before writing: a cofactor degree past Python's
         # int-to-str digit limit then fails with nothing on stdout
@@ -301,28 +307,27 @@ def scan_rows(d_max: int, n_max: int) -> list[tuple[int, int]]:
     return rows
 
 
-def scan_csv(rows: list[tuple[int, int]]) -> list[str]:
-    """The CSV lines, header first; written as pieces, never joined."""
-    return ["d,n\n", *(f"{d},{n}\n" for d, n in rows)]
+def scan_csv(rows: list[tuple[int, int]]) -> Iterator[str]:
+    """The CSV lines, header first, one at a time; written, never joined."""
+    yield "d,n\n"
+    for d, n in rows:
+        yield f"{d},{n}\n"
 
 
 def scan_svg(rows: list[tuple[int, int]], d_max: int,
-             n_max: int) -> list[str]:
+             n_max: int) -> Iterator[str]:
     """Minimal deterministic scatter: one 2px square per divisibility hit,
-    as a list of lines like ``scan_csv``."""
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n',
-        '<rect x="0" y="0" width="1000" height="1000" fill="white"/>\n',
-        '<text x="500" y="998" font-size="20" text-anchor="middle">d</text>\n',
-        '<text x="12" y="500" font-size="20" text-anchor="middle" '
-        'transform="rotate(-90 12 500)">n</text>\n',
-    ]
+    yielded line by line like ``scan_csv``."""
+    yield '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
+    yield '<rect x="0" y="0" width="1000" height="1000" fill="white"/>\n'
+    yield '<text x="500" y="998" font-size="20" text-anchor="middle">d</text>\n'
+    yield ('<text x="12" y="500" font-size="20" text-anchor="middle" '
+           'transform="rotate(-90 12 500)">n</text>\n')
     for d, n in rows:
         px = d * 1000 // d_max
         py = 1000 - n * 1000 // n_max
-        parts.append(f'<rect x="{px}" y="{py}" width="2" height="2"/>\n')
-    parts.append("</svg>\n")
-    return parts
+        yield f'<rect x="{px}" y="{py}" width="2" height="2"/>\n'
+    yield "</svg>\n"
 
 
 def _cmd_scan(args) -> int:
@@ -338,7 +343,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_cover(args) -> int:
     cert = covers(args.d, args.n)
-    _write_certificate(cert, args.certificate, args.format)
+    _write_certificate(cert.lazy_json_dict, args.certificate, args.format)
     if args.format == "text":
         cocore = core_and_cocore(args.d)[1]
         state = "covered" if cert.covered else "not covered"

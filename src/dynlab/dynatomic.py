@@ -35,33 +35,14 @@ chosen by the tuple and D alone:
 
 from __future__ import annotations
 
-import os
 import random
 from typing import NamedTuple
 
 from .cyclotomic import cyclotomic_poly
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, degree_cap
 from .necklace import fast_xn1_divides
 from .numtheory import core_and_cocore, divisors, squarefree_divisors
 from .polycore import QA, QQ, Polynomial, _iterates, resultant
-
-DEFAULT_DEGREE_CAP = 5000
-
-DEGREE_CAP_ENV = "DYNLAB_DEGREE_CAP"
-
-
-def degree_cap() -> int:
-    value = os.environ.get(DEGREE_CAP_ENV)
-    if value is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        raise DomainError(f"{DEGREE_CAP_ENV} must be an integer") from None
-    if cap < 0:
-        raise DomainError(f"{DEGREE_CAP_ENV} must be >= 0, got {cap}")
-    return cap
-
 
 def dynatomic_degree(k: int, d: int) -> int:
     """Degree of the d-th dynatomic polynomial of a degree-k map."""

@@ -1,6 +1,12 @@
-"""Exception types shared across the library."""
+"""Exception types, and the degree cap, shared across the library."""
 
 from __future__ import annotations
+
+import os
+
+DEFAULT_DEGREE_CAP = 5000
+
+DEGREE_CAP_ENV = "DYNLAB_DEGREE_CAP"
 
 
 class DomainError(ValueError):
@@ -22,3 +28,18 @@ class ExactDivisionError(ArithmeticError):
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed a configured size or degree cap."""
+
+
+def degree_cap() -> int:
+    """The largest degree a construction may build: DYNLAB_DEGREE_CAP, or
+    DEFAULT_DEGREE_CAP when it is unset."""
+    value = os.environ.get(DEGREE_CAP_ENV)
+    if value is None:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        raise DomainError(f"{DEGREE_CAP_ENV} must be an integer") from None
+    if cap < 0:
+        raise DomainError(f"{DEGREE_CAP_ENV} must be >= 0, got {cap}")
+    return cap

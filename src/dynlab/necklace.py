@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError, degree_cap
 from .numtheory import squarefree_divisors
 from .polycore import QQ, Polynomial, _iterates
 
@@ -45,7 +45,9 @@ def dynamical_necklace(f: Polynomial, d: int) -> Polynomial:
     """(1/d) * sum of mu(e) * f**(d/e)(x), the f-iterate analogue of M_d.
 
     Needs d invertible in the coefficient ring, so prime-field inputs are
-    rejected when the characteristic divides d.
+    rejected when the characteristic divides d.  Its degree is k**d for f of
+    degree k >= 2, and a degree over ``degree_cap()`` is refused before
+    anything is built.
     """
     if d < 1:
         raise DomainError("dynamical necklace index must be >= 1")
@@ -53,6 +55,11 @@ def dynamical_necklace(f: Polynomial, d: int) -> Polynomial:
     if ring.characteristic and d % ring.characteristic == 0:
         raise DomainError(
             f"{d} is not invertible in characteristic {ring.characteristic}")
+    k, cap = f.degree, degree_cap()
+    # k**d > cap whenever 2**d > cap, so k**d is formed only for small d
+    if k > 1 and (d >= cap.bit_length() or k**d > cap):
+        raise ResourceLimitError(
+            f"degree {k}**{d} of the dynamical necklace exceeds the cap {cap}")
     pairs = squarefree_divisors(d)
     iterates = _iterates(f, {d // e for e, _ in pairs})
     acc = Polynomial.zero(ring)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -46,6 +47,14 @@ class TestUnitGroup:
                 for (g, _), e in zip(group.generators, vec):
                     prod = prod * pow(g, e, n) % n
                 assert prod == residue, (n, residue)
+
+    def test_dlog_is_in_product_order(self):
+        # covers() takes its exponent vectors from dlog.values(), in order;
+        # the unwrapped builder keeps the cache small
+        for n in range(1, 3000):
+            group = unit_group.__wrapped__(n)
+            assert list(group.dlog.values()) == list(
+                itertools.product(*(range(o) for o in group.orders))), n
 
     def test_orders_are_prime_powers_and_exact(self):
         from dynlab.numtheory import factorize
@@ -217,6 +226,11 @@ class TestCovers:
                               if chi.value_is_one(p))
             assert form == group.dlog_of(p)
             assert chi_members >= 1
+
+    def test_witnesses_share_the_dlog_vectors(self):
+        cert = covers(66356058851, 266)
+        vectors = unit_group(266).dlog.values()
+        assert all(chi is v for (chi, _), v in zip(cert.witnesses, vectors))
 
     def test_certificate_json_schema(self):
         data = covers(3, 2).to_json_dict()

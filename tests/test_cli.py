@@ -283,6 +283,26 @@ class TestCoverCommand:
         assert code == 0
         assert json.loads(out)["witnesses"] == [{"chi": [], "p": 3}]
 
+    def test_certificate_bytes_are_json_dumps_over_a_box(self, capsys,
+                                                         tmp_path):
+        # cyclic (1, 2, 5, 9, 25) and non-cyclic (8, 12, 40, 65, 266) groups
+        path = tmp_path / "cover.json"
+        seen = set()
+        for d in (1, 6, 30, 105, 525, 2310, 66356058851):
+            for n in (1, 2, 5, 8, 9, 12, 25, 40, 65, 266):
+                code, out = run_cli(capsys, "cover", "--d", str(d), "--n",
+                                    str(n), "--certificate", str(path),
+                                    "--format", "json")
+                cert = covers(d, n)
+                text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
+                assert code == (0 if cert.covered else 3)
+                assert out == text, (d, n)
+                assert path.read_bytes() == text.encode("utf-8"), (d, n)
+                group = unit_group(n)
+                seen.add((group.exponent == group.order, cert.covered))
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
+
 
 class TestErrorHandling:
     def test_domain_error_exit_one(self, capsys):
@@ -374,6 +394,15 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err == "error: DYNLAB_DEGREE_CAP must be >= 0, got -3\n"
 
+    def test_dynamical_necklace_over_the_cap_is_refused(self, capsys):
+        # degree 2**30: refused from the predicted degree, nothing is built
+        code = main(["necklace", "--d", "30", "--f", "x^2+1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_degree_cap_covers_divisor_leg(self, capsys):
         code = main(["relation", "--m", "6", "--n", "3", "--c", "0", "--d", "1",
                      "--force", "--degree-max", "100"])
@@ -437,6 +466,17 @@ class TestWritePieces:
         assert path.read_bytes() == ("".join(pieces) + "\n").encode("utf-8")
         _write_file(str(path), pieces + ["\n"])
         assert path.read_bytes() == ("".join(pieces) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("size", [_SLICE - 1, _SLICE, _SLICE + 1])
+    def test_a_generator_of_pieces_writes_the_same(self, size):
+        pieces = self.pieces(size)
+        listed, streamed = self.Recorder(), self.Recorder()
+        _write_pieces(listed, pieces)
+        _write_pieces(streamed, iter(pieces))
+        assert streamed.writes == listed.writes
+        empty = self.Recorder()
+        _write_pieces(empty, iter(()))
+        assert empty.writes == ["\n"]
 
     @pytest.mark.parametrize("size", [_SLICE - 1, _SLICE, _SLICE + 1])
     def test_no_write_is_longer_than_a_slice(self, size):

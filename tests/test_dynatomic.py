@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
-from dynlab import dynatomic
+from dynlab import dynatomic, errors
 from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
                               _quotient_remainder, _unit_lead,
                               build_relation_certificate,
@@ -553,8 +553,8 @@ class TestSquarefreeGenericParameters:
 
 def _degree_cap_from(value):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(dynatomic.DEGREE_CAP_ENV, value)
-        return dynatomic.degree_cap()
+        patch.setenv(errors.DEGREE_CAP_ENV, value)
+        return errors.degree_cap()
 
 
 # Refusals: (call, exception, message fragment)

@@ -6,7 +6,7 @@ from conftest import (dense_fold, dense_fold_divisible,
                       dense_necklace_int_coeffs, factored_necklace_fold,
                       fold_index, fold_inverse)
 from dynlab.dynatomic import _reduce_index
-from dynlab.errors import DomainError
+from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
 from dynlab.numtheory import core_and_cocore
 from dynlab.polycore import QQ, Polynomial, PrimeField, parse_polynomial
@@ -161,6 +161,14 @@ class TestDynamicalNecklace:
         with pytest.raises(DomainError):
             dynamical_necklace(f, 10)
         assert dynamical_necklace(f, 2).degree == 25
+
+    def test_degree_cap_refuses_before_building(self, monkeypatch):
+        monkeypatch.setenv("DYNLAB_DEGREE_CAP", "16")
+        assert dynamical_necklace(X**2, 4).degree == 16
+        assert dynamical_necklace(X + 1, 40).degree <= 1  # never capped
+        for f, d in ((X**2, 5), (X**3, 3), (X**2, 10**9)):
+            with pytest.raises(ResourceLimitError, match="exceeds the cap 16"):
+                dynamical_necklace(f, d)
 
     def test_counting_interpretation_small(self):
         # M_d(q) counts monic irreducibles of degree d over F_q (brute force

@@ -11,7 +11,8 @@ follows it.  A coerced ring element must be falsy exactly when it is zero,
 since that truth test is the rings' only zero test.  Every root of unity
 that the cyclotomic scan's filter uses must have the order it stands for.
 The CLI's JSON writer must give the text of ``json.dumps(v, indent=2)``,
-and pass a long string that needs no escape through as itself.
+also when some arrays of v are generators, and pass a long string that
+needs no escape through as itself.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -329,11 +330,34 @@ def test_json_writer_matches_json_dumps(value):
     assert "".join(_json_pieces(value)) == json.dumps(value, indent=2)
 
 
+def _as_generators(value, pick):
+    """value with each array that pick() chooses made a generator."""
+    if isinstance(value, dict):
+        return {key: _as_generators(item, pick) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_as_generators(item, pick) for item in value]
+        return (item for item in items) if pick() else items
+    return value
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(json_values, st.randoms(use_true_random=False))
+def test_json_writer_renders_generator_arrays_as_lists(value, rng):
+    lazy = _as_generators(value, lambda: rng.random() < 0.5)
+    assert "".join(_json_pieces(lazy)) == json.dumps(value, indent=2)
+
+
+def test_json_writer_renders_empty_generators_as_empty_lists():
+    value = {"a": [], "b": [[], [1, "x"], {"c": []}], "d": [[]]}
+    lazy = _as_generators(value, lambda: True)
+    assert "".join(_json_pieces(lazy)) == json.dumps(value, indent=2)
+
+
 @pytest.mark.parametrize("value", [
     1.5, [0, 2.0], Fraction(1, 2), {"c": [Fraction(3)]}, {1: "x"},
-    {"a": {None: 0}}, ({True: 1},),
+    {"a": {None: 0}}, ({True: 1},), {1, 2}, [range(3)],
 ], ids=["float", "float_in_list", "fraction", "fraction_in_dict", "int_key",
-        "none_key", "bool_key"])
+        "none_key", "bool_key", "set", "range"])
 def test_json_writer_refuses_floats_fractions_and_non_str_keys(value):
     with pytest.raises(TypeError):
         _json_pieces(value)
