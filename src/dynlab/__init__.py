@@ -16,10 +16,9 @@ from .polycore import (QA, QQ, CoefficientRing, ParamRing, Polynomial,
                        poly_gcd, resultant)
 from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
 from .cyclotomic import (CycloFactorReport, cyclo_factor_scan,
-                         cyclotomic_candidates, cyclotomic_poly, xn1_divides)
+                         cyclotomic_candidates, cyclotomic_poly)
 from .characters import (Character, CoverCertificate, UnitGroup, characters,
-                         covers, equivalence_sweep, hyperplane_forms,
-                         unit_group)
+                         covers, equivalence_sweep, unit_group)
 from .dynatomic import (ConditionReport, DivisibilityEvidence,
                         RelationCertificate, RelationTuple,
                         build_relation_certificate, dynatomic_degree,

@@ -338,22 +338,6 @@ def covers(d: int, n: int) -> CoverCertificate:
         witnesses=tuple(zip(vectors, found)), failing_character=failing)
 
 
-def hyperplane_forms(d: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The linear form cutting out each usable prime's hyperplane.
-
-    Pairs (p, coefficients): a character with exponent vector e lies in the
-    hyperplane of p exactly when sum(e_i * c_i / order_i) is an integer.
-    The coefficients are the dlog of p over the group generators, which is
-    the line-arrangement data behind a cover certificate's witnesses
-    (rendering is up to the caller).  Only the usable primes are listed:
-    the entangled primes' hyperplanes, which decide only the characters
-    without a witness (see ``covers``), are not.
-    """
-    group = unit_group(n)
-    return [(p, group.dlog_of(p))
-            for p in factorize(d).primes if n % p != 0]
-
-
 def equivalence_sweep(d_max: int, n_max: int) -> list[tuple[int, int]]:
     """Every (d, n) on the grid where the cover and necklace criteria differ.
 

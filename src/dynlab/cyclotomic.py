@@ -72,18 +72,6 @@ def _at_power(poly: Polynomial, e: int) -> Polynomial:
     return Polynomial(QQ, coeffs)
 
 
-def xn1_divides(p: Polynomial, n: int) -> bool:
-    """Does x**n - 1 divide p?  Exponent folding, no long division."""
-    if n < 1:
-        raise DomainError("xn1_divides needs n >= 1")
-    if p.ring is not QQ:
-        raise DomainError("xn1_divides expects a rational polynomial")
-    folded = [QQ.zero] * n
-    for k, c in enumerate(p.coeffs):
-        folded[k % n] += c
-    return all(not c for c in folded)
-
-
 def _totients_up_to(limit: int) -> list[int]:
     """Grow-and-cache totient sieve; returns the sieve array (index = k).
 

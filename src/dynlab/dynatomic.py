@@ -17,16 +17,26 @@ divides f**(m+n) - f**m, so f**k is congruent to f**k' for k' = k below
 m + n and k' = m + ((k - m) mod n) above (``_reduce_index``).  Two routes,
 chosen by the tuple and D alone:
 
-1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of iterate differences.
-   Dividing D out of each factor it divides gives Phi_{f,c,d} * Dn' =
-   D**s * N', where s counts those factors in N less those in Dn.  When
-   2 deg D < deg Phi_{f,c,d} <= cap such a factor F enters N' or Dn' as
-   F / D mod D, read off the iterates up to f**(c+d) mod D**2; otherwise
-   it stays 0 mod D, so s != 0 or Dn' = 0 and the leg is left open.  If
-   s = 0 and Res(D, Dn') != 0, D is prime to Dn' (over Q(a) for Q[a]), so
-   D | Phi_{f,c,d} - 1 exactly when N' = Dn' mod D, and Phi_{f,c,d} =
-   N' / Dn' mod D.  That quotient is computed only over a field and only
-   when (deg D)**2 < deg Phi_{f,c,d}.
+1. N/Dn: Phi_{f,c,d} * Dn = N for products N, Dn of the factors
+   f**(p+d/e) - f**p at p = c (and at p = c - 1 with the opposite sign).
+   Let g = f**n, h = g - x and u_k = (g**k - x) / h.  Taylor's formula
+   g(x + h*u) = g(x) + g'*h*u mod h**2, over any commutative ring, gives
+   u_(k+1) = 1 + g'*u_k mod h, so u_k = G_k(g') mod h, where G_k(y) =
+   1 + y + ... + y**(k-1).  For p >= m and n | d/e the factor is H_p *
+   u_k(f**p) with H_p = h(f**p) and k = d/(en).  D divides H_p, since
+   f**(m+n) - f**m divides f**(p+n) - f**p, so u_k(f**p) = G_k(lambda)
+   mod D for lambda = g'(f**p) = prod_{i<n} f'(f**(p+i)), which mod D is
+   the same product at p = m.  At each shift the H_p have net exponent
+   sum_{e | d/n} mu(e), 0 unless d = n; then c > m, and H_c / H_(c-1) =
+   (f(A) - f(B)) / (A - B) with A - B = H_(c-1), which is f'(f**(c-1))
+   mod D.  So Phi_{f,c,d} * Dn'' = N'' exactly, where N'' and Dn'' hold
+   u_k(f**p) in place of each such factor, and N'' also H_c / H_(c-1)
+   when d = n.  Such factors exist exactly when c >= m and n | d, and the
+   pass takes them only when deg Phi_{f,c,d} <= cap; past the cap the leg
+   is left open.  If Res(D, Dn'') != 0, D is prime to Dn'' (over Q(a) for
+   Q[a]), so D | Phi_{f,c,d} - 1 exactly when N'' = Dn'' mod D, and
+   Phi_{f,c,d} = N'' / Dn'' mod D.  That quotient is computed only over a
+   field and only when (deg D)**2 < deg Phi_{f,c,d}.
 2. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
    smaller than Phi_{f,c,d}, or when D's leading coefficient is not a unit
    (in Q[a], not a nonzero constant), where reduction mod D would leave
@@ -42,7 +52,7 @@ from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, ResourceLimitError, degree_cap
 from .necklace import fast_xn1_divides
 from .numtheory import core_and_cocore, divisors, squarefree_divisors
-from .polycore import QA, QQ, Polynomial, _iterates, resultant
+from .polycore import QA, QQ, Polynomial, _iterates, _power, resultant
 
 def dynatomic_degree(k: int, d: int) -> int:
     """Degree of the d-th dynatomic polynomial of a degree-k map."""
@@ -201,14 +211,16 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
 
     D is always built.  When its leading coefficient is a unit and it is
     smaller than Phi_{f,c,d}, one pass over the iterates mod D decides the
-    leg if it can (see the module docstring): by N' = Dn' mod D, or by
-    N' / Dn' mod D.  Otherwise Phi_{f,c,d} is built and divided.  The cap
-    (5000, or DYNLAB_DEGREE_CAP) bounds what is built.  It is checked for
-    D before anything is built, and for Phi_{f,c,d} before the full
-    construction; the iterates mod D**2, whose c + d compositions it
-    bounds, are built only within it.  Each refusal is a
-    ResourceLimitError.  A leg that the pass decides with no factor 0 mod
-    D builds neither, so it may answer past the cap.
+    leg if it can (see the module docstring): by N'' = Dn'' mod D, or by
+    N'' / Dn'' mod D.  Otherwise Phi_{f,c,d} is built and divided.  The
+    cap (5000, or DYNLAB_DEGREE_CAP) bounds what is built.  It is checked
+    for D before anything is built, and for Phi_{f,c,d} before the full
+    construction.  A leg with c >= m and n | d has factors that are 0 mod
+    D; the pass replaces them by G_k(lambda) mod D only when deg
+    Phi_{f,c,d} is within the cap, and past it leaves the leg to the full
+    construction, which refuses it.  Each refusal is a ResourceLimitError.
+    Any other leg that the pass decides builds only D and the iterates mod
+    D up to f**(m+n-1), so it may answer past the cap.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
@@ -246,45 +258,65 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
                         divisor: Polynomial, cap: int) -> Polynomial | None:
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
 
-    Route 1 of the module docstring.  N and Dn collect the factors
-    f**(c+d/e) - f**c (and, for c >= 1, those at c - 1 with the opposite
-    sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N exactly.
-    Only the factors that are 0 mod D are lifted, and the iterates mod
-    D**2 are built only when there is one and deg Phi_{f,c,d} is within
-    the cap; a factor left 0 mod D leaves the leg to verify_relation.
+    Route 1 of the module docstring; the caller ensures deg D < deg
+    Phi_{f,c,d}, so (c, d) != (m, n).  N and Dn collect the factors
+    f**(p+d/e) - f**p at p = c (and, for c >= 1, at p = c - 1 with the
+    opposite sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N.
+    A factor with p >= m and n | d/e enters as G_(d/(en))(lambda) mod D.
+    Such factors exist exactly when c >= m and n | d, and the pass takes
+    them only when deg Phi_{f,c,d} <= cap; past it the leg is left open.
     """
     ring = f.ring
-    residues = _iterates(f, range(t.m + t.n), divisor)
-    shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
-    factors = [(pre + t.d // e, pre, mu * sign)
-               for e, mu in squarefree_divisors(t.d) for pre, sign in shifts]
-    reduced = [residues[_reduce_index(t.m, t.n, i)]
-               - residues[_reduce_index(t.m, t.n, j)] for i, j, _ in factors]
+    m, n = t.m, t.n
     top = generalized_dynatomic_degree(f.degree, t.c, t.d)
-    lifts = None
-    if 2 * divisor.degree < top <= cap and any(r.is_zero for r in reduced):
-        lifts = _iterates(f, range(t.c + t.d + 1), divisor * divisor)
-    num = den = Polynomial.one(ring)
-    order = 0
-    for (i, j, weight), factor in zip(factors, reduced):
-        if factor.is_zero:
-            order += weight
-            if lifts is not None:
-                factor = (lifts[i] - lifts[j]).div_exact(divisor)
-        if weight == 1:
-            num = num * factor % divisor
-        else:
-            den = den * factor % divisor
-    # Euclid on D and Dn' takes about deg(D)**2 field operations, so the
+    multiplier = t.c >= m and t.d % n == 0
+    if multiplier and top > cap:
+        return None
+    residues = _iterates(f, range(m + n), divisor)
+    num = den = one = Polynomial.one(ring)
+    if multiplier:
+        slope = f.derivative()
+        lam = one
+        for i in range(m, m + n):
+            lam = lam * slope.compose(residues[i]) % divisor
+        if t.d == n and t.c > m:
+            # H_c / H_(c-1) = f'(f**(c-1)) mod D, the one H left over
+            num = slope.compose(residues[_reduce_index(m, n, t.c - 1)]) \
+                % divisor
+    shifts = ((t.c, 1), (t.c - 1, -1)) if t.c else ((0, 1),)
+    for e, mu in squarefree_divisors(t.d):
+        k, r = divmod(t.d // e, n)
+        for pre, sign in shifts:
+            if pre >= m and not r:
+                factor = _geometric_sum(lam, k, divisor)
+            else:
+                factor = (residues[_reduce_index(m, n, pre + t.d // e)]
+                          - residues[_reduce_index(m, n, pre)])
+            if mu * sign == 1:
+                num = num * factor % divisor
+            else:
+                den = den * factor % divisor
+    # Euclid on D and Dn'' takes about deg(D)**2 field operations, so the
     # inverse is taken only below deg Phi_{f,c,d}: past it, inverting can
     # cost more than building in full
     invert = divisor.degree ** 2 < top and ring.is_field
-    if (not order and not den.is_zero and (num == den or invert)
+    if (not den.is_zero and (num == den or invert)
             and resultant(divisor, den)):
         if num == den:
             return Polynomial.zero(ring)
         return (num * _inverse_mod(den, divisor) - 1) % divisor
     return None
+
+
+def _geometric_sum(lam: Polynomial, k: int,
+                   modulus: Polynomial) -> Polynomial:
+    """G_k(lam) = 1 + lam + ... + lam**(k-1) mod modulus: the offset of the
+    k-th power of the affine map y -> lam*y + 1, kept as (slope, offset)."""
+    def compose(u, v):
+        return u[0] * v[0] % modulus, (u[0] * v[1] + u[1]) % modulus
+
+    one = Polynomial.one(lam.ring)
+    return _power(compose, (one, Polynomial.zero(lam.ring)), (lam, one), k)[1]
 
 
 def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial:

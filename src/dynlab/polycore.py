@@ -368,9 +368,6 @@ class Polynomial:
                 return i
         raise AssertionError("unnormalized polynomial")  # pragma: no cover
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
-
     def _require_same_ring(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
             raise DomainError(
@@ -480,13 +477,6 @@ class Polynomial:
         v = QQ.coerce(value)
         return Polynomial(QQ, [_raw(QQ, c).evaluate(v) for c in self.coeffs])
 
-    def lift_to_param_ring(self) -> "Polynomial":
-        if self.ring is QA:
-            return self
-        if self.ring is not QQ:
-            raise DomainError("only rational polynomials lift to Q[a]")
-        return Polynomial(QA, [(c,) if c else () for c in self.coeffs])
-
     # -- division
 
     def __divmod__(self, den: "Polynomial"):
@@ -504,9 +494,6 @@ class Polynomial:
 
     def __mod__(self, den: "Polynomial"):
         return divmod(self, den)[1]
-
-    def __floordiv__(self, den: "Polynomial"):
-        return divmod(self, den)[0]
 
     def div_exact(self, den: "Polynomial") -> "Polynomial":
         """Exact quotient; a nonzero remainder raises ExactDivisionError.

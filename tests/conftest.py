@@ -3,12 +3,18 @@
 These deliberately avoid the library's own fast paths: the dense fold
 oracle works on raw integer coefficient lists, the factored form rebuilds
 the folded necklace sum from the primes of d alone, and the Sylvester
-oracle computes resultants as determinants.
+oracle computes resultants as determinants.  xn1_divides and
+hyperplane_forms are retired library functions kept here as oracles: the
+first folds exponents of a rational polynomial, the second lists each
+usable prime's dlog vector.
 """
 
 from fractions import Fraction
 
+from dynlab.characters import unit_group
+from dynlab.errors import DomainError
 from dynlab.numtheory import factorize, squarefree_divisors
+from dynlab.polycore import QQ, Polynomial
 
 
 def dense_necklace_int_coeffs(d: int) -> list[int]:
@@ -42,6 +48,27 @@ def dense_fold_divisible(coeffs: list[int], n: int, m: int = 0) -> bool:
     the fold modulo x**n - 1.
     """
     return not any(dense_fold(coeffs, n, m))
+
+
+def xn1_divides(p: Polynomial, n: int) -> bool:
+    """Does x**n - 1 divide p?  Exponent folding, no long division."""
+    if n < 1:
+        raise DomainError("xn1_divides needs n >= 1")
+    if p.ring is not QQ:
+        raise DomainError("xn1_divides expects a rational polynomial")
+    folded = [QQ.zero] * n
+    for k, c in enumerate(p.coeffs):
+        folded[k % n] += c
+    return all(not c for c in folded)
+
+
+def hyperplane_forms(d: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(p, dlog of p over the generators of (Z/n)*) for each prime p | d
+    prime to n: a character with exponent vector e lies in the hyperplane
+    of p exactly when sum(e_i * c_i / order_i) is an integer."""
+    group = unit_group(n)
+    return [(p, group.dlog_of(p))
+            for p in factorize(d).primes if n % p != 0]
 
 
 def fold_inverse(k: int, n: int, m: int = 0) -> int:

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_fold_divisible, dense_necklace_int_coeffs
+from conftest import (dense_fold_divisible, dense_necklace_int_coeffs,
+                      hyperplane_forms)
 from dynlab.characters import (Character, CoverCertificate,
                                _entangled_hyperplanes, characters, covers,
-                               equivalence_sweep, hyperplane_forms, unit_group)
+                               equivalence_sweep, unit_group)
 from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import fast_xn1_divides

@@ -204,8 +204,9 @@ class TestVerifyRelation:
             assert ev.divides, value
 
     def test_degree_guard(self):
-        # c = 0 and some factors of these are 0 mod D, so lifting them
-        # takes the iterates mod D**2, and the (c, d) leg is over the cap
+        # c >= m and n | d, so some factors of these are 0 mod D; the pass
+        # takes their multiplier form only within the cap, and the (c, d)
+        # leg is over it
         with pytest.raises(ResourceLimitError, match=r"\(0, 13\) dynatomic"):
             verify_relation(RelationTuple(0, 1, 0, 13), F_SQ1)
         with pytest.raises(ResourceLimitError, match=r"\(0, 6\) dynatomic"):
@@ -216,14 +217,14 @@ class TestVerifyRelation:
         ev = verify_relation(RelationTuple(0, 2, 0, 5), F_SQ1, cap=10)
         assert ev.divides and ev.cofactor_degree == 28
         # (1, 1, 2, 5) is an alt-clause tuple: every factor is 0 mod D, so
-        # the lift decides it, under the cap on Phi_{2,5} (degree 60)
+        # the multiplier decides it, under the cap on Phi_{2,5} (degree 60)
         ev = verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=60)
         assert ev.divides and ev.cofactor_degree == 60 - 2
         with pytest.raises(ResourceLimitError, match=r"degree 60 of the "
                                                      r"\(2, 5\) dynatomic"):
             verify_relation(RelationTuple(1, 1, 2, 5), F_SQ1, cap=59)
         # D = Phi_{1,2} has degree 2, but Phi_{2,12} has degree 8040, over
-        # the default cap, so the leg is refused before the lift starts
+        # the default cap, so the leg is refused before the pass starts
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match=r"degree 8040 of the "
                                                      r"\(2, 12\) dynatomic"):
@@ -247,10 +248,10 @@ class TestVerifyRelation:
                                       - generalized_dynatomic_degree(2, 1, 1))
         assert elapsed < 0.5
 
-    def test_lifted_route_on_vanishing_factors(self):
-        # The factors of (0, 2, 0, 6) with 2 | d/e are 0 mod D = Phi_2, so
-        # N = Dn mod D decides nothing.  Built in full (degree 4020, about
-        # 6 s), Phi_{0,6} - 1 leaves a remainder of degree 10 mod D
+    def test_multiplier_route_on_vanishing_factors(self):
+        # The factors of (0, 2, 0, 6) with 2 | d/e are 0 mod D = Phi_2, and
+        # enter the pass as G_k(lambda) mod D.  Built in full (degree 4020,
+        # about 6 s), Phi_{0,6} - 1 leaves a remainder of degree 10 mod D
         f = Polynomial(QQ, [6, 3, 0, 6, 1])
         start = time.perf_counter()
         ev = verify_relation(RelationTuple(0, 2, 0, 6), f)
@@ -259,10 +260,10 @@ class TestVerifyRelation:
         assert elapsed < 0.5
 
     @pytest.mark.parametrize("m", [0, 1])
-    def test_lifted_route_at_c_two(self, m):
+    def test_multiplier_route_at_c_two(self, m):
         # D = Phi_{m,2} has degree 2 and the factors of Phi_{2,10} with
-        # 2 | d/e are 0 mod D, so N = Dn mod D decides nothing.  Building
-        # Phi_{2,10} in full (degree 1980) takes about 7 s
+        # 2 | d/e are 0 mod D, so they enter the pass as G_k(lambda) mod D.
+        # Building Phi_{2,10} in full (degree 1980) takes about 7 s
         start = time.perf_counter()
         ev = verify_relation(RelationTuple(m, 2, 2, 10),
                              parse_polynomial("x^2+x+3"))
@@ -289,13 +290,10 @@ def _full_construction(t, f, seed):
         remainder_degree=None if rem.is_zero else rem.degree)
 
 
-def _vanishing_factor(t, f, divisor):
-    """Is some factor f**(p+d/e) - f**p of Phi_{f,c,d} 0 mod D?  Reads the
-    iterates mod D up to f**(c+d) directly, without the period index map."""
-    table = [Polynomial.x(f.ring) % divisor]
-    for _ in range(t.c + t.d):
-        table.append(f.compose(table[-1]) % divisor)
-    return any((table[p + t.d // e] - table[p]).is_zero
+def _multiplier_factor(t):
+    """Has Phi_{f,c,d} a factor f**(p+d/e) - f**p with p >= m and n | d/e,
+    one that the pass replaces by G_(d/(en))(lambda) mod D?"""
+    return any(p >= t.m and (t.d // e) % t.n == 0
                for e, _ in squarefree_divisors(t.d)
                for p in {t.c, max(t.c - 1, 0)})
 
@@ -311,17 +309,13 @@ def _cross_check(t, f, seed, tables):
         return "lead"
     tables.clear()
     fast = _quotient_remainder(t, f, divisor, 10**6)
-    # one table mod D, and the one mod D**2 only when a factor is 0 mod D
-    assert tables[0] == (divisor, t.m + t.n - 1), (t, f)
-    top = generalized_dynatomic_degree(f.degree, t.c, t.d)
-    lifted = 2 * divisor.degree < top and _vanishing_factor(t, f, divisor)
-    assert tables[1:] == ([(divisor * divisor, t.c + t.d)] if lifted else []), \
-        (t, f)
+    # one table, mod D, on every leg
+    assert tables == [(divisor, t.m + t.n - 1)], (t, f)
     if fast is None:
         return "full"
     assert fast == rem, (t, f)
     route = "N/Dn" if fast.is_zero else "inverse"
-    return route + " lifted" if lifted else route
+    return route + " multiplier" if _multiplier_factor(t) else route
 
 
 def _seeded_legs(t, family, seed, trials):
@@ -394,12 +388,12 @@ def _prime_field_legs():
 
 class TestQuotientRoutes:
     @pytest.mark.parametrize("legs,routes_seen", [
-        (_test_suite_legs, {"N/Dn", "N/Dn lifted", "inverse lifted", "full",
-                            "lead"}),
-        (_box_legs, {"N/Dn", "N/Dn lifted", "inverse", "inverse lifted",
-                     "full"}),
-        (_prime_field_legs, {"N/Dn", "N/Dn lifted", "inverse",
-                             "inverse lifted", "full"}),
+        (_test_suite_legs, {"N/Dn", "N/Dn multiplier", "inverse multiplier",
+                            "full", "lead"}),
+        (_box_legs, {"N/Dn", "N/Dn multiplier", "inverse",
+                     "inverse multiplier", "full"}),
+        (_prime_field_legs, {"N/Dn", "N/Dn multiplier", "inverse",
+                             "inverse multiplier", "full"}),
     ], ids=["suite", "box", "prime_fields"])
     def test_agrees_with_full_construction(self, legs, routes_seen,
                                            monkeypatch):

@@ -12,7 +12,10 @@ since that truth test is the rings' only zero test.  Every root of unity
 that the cyclotomic scan's filter uses must have the order it stands for.
 The CLI's JSON writer must give the text of ``json.dumps(v, indent=2)``,
 also when some arrays of v are generators, and pass a long string that
-needs no escape through as itself.
+needs no escape through as itself.  For monic f, g = f**n and h = g - x,
+the quotient u_k = (g**k - x) / h must be 1 + g' + ... + g'**(k-1) mod h
+(the multiplier identity behind the relation pass), and the affine power
+that computes that sum must agree with the plain sum.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -27,9 +30,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dynlab import cyclotomic  # noqa: E402
 from dynlab.cli import _json_pieces  # noqa: E402
+from dynlab.dynatomic import _geometric_sum  # noqa: E402
 from dynlab.numtheory import factorize, is_prime  # noqa: E402
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField,  # noqa: E402
-                             _SCHOOLBOOK_TERMS, _ZZ, _prs_prem,
+                             _SCHOOLBOOK_TERMS, _ZZ, _iterates, _prs_prem,
                              parse_polynomial)
 
 T = _SCHOOLBOOK_TERMS
@@ -263,6 +267,35 @@ def test_coerced_element_is_falsy_exactly_when_zero(ring, cases):
         assert bool(element) is not zero, (value, element)
         if isinstance(ring, PrimeField):
             assert 0 <= element < ring.p
+
+    run()
+
+
+@pytest.mark.parametrize("ring,coeff", [
+    (QQ, st.integers(-4, 4)),
+    (PrimeField(2), st.integers(0, 1)),
+    (PrimeField(5), st.integers(0, 4)),
+    (QA, st.lists(st.integers(-3, 3), max_size=2).map(tuple)),
+], ids=["Q", "F_2", "F_5", "Qa"])
+def test_iterate_quotient_is_the_geometric_sum_of_the_multiplier(ring, coeff):
+    # g**k - x = h * u_k exactly; n * k <= 6 / (deg f - 1) keeps
+    # deg f**(nk) at most 64
+    @settings(deterministic, max_examples=40)
+    @given(st.integers(2, 3).flatmap(lambda k_f: st.tuples(
+        st.lists(coeff, min_size=k_f, max_size=k_f),
+        st.integers(1, 2).flatmap(lambda n: st.tuples(
+            st.just(n), st.integers(1, 6 // (k_f - 1) // n))))))
+    def run(drawn):
+        low, (n, k) = drawn
+        f = Polynomial(ring, low + [1])
+        x = Polynomial.x(ring)
+        table = _iterates(f, {n, n * k})
+        h = table[n] - x
+        u = (table[n * k] - x).div_exact(h)
+        lam = table[n].derivative() % h
+        plain = sum((lam ** i for i in range(k)), Polynomial.zero(ring)) % h
+        assert _geometric_sum(lam, k, h) == plain
+        assert (u - plain) % h == Polynomial.zero(ring)
 
     run()
 
