@@ -12,8 +12,7 @@ from .errors import DomainError, ExactDivisionError, ResourceLimitError
 from .numtheory import (Factorization, core_and_cocore, divisors, euler_phi,
                         factorize, is_prime, mobius, squarefree_divisors)
 from .polycore import (QA, QQ, CoefficientRing, ParamRing, Polynomial,
-                       PrimeField, Rationals, is_squarefree, parse_polynomial,
-                       poly_gcd, resultant)
+                       PrimeField, Rationals, parse_polynomial, resultant)
 from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
 from .cyclotomic import (CycloFactorReport, cyclo_factor_scan,
                          cyclotomic_candidates, cyclotomic_poly)

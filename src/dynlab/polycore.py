@@ -16,10 +16,10 @@ Three coefficient rings are supported:
 Each ring is a ``CoefficientRing``, the one arithmetic protocol: coerce,
 add, neg, mul, exact_div, pow and format, with no subtraction of its own
 (the division loop adds the negated quotient term).  It serves both the
-polynomial arithmetic and the subresultant remainder sequences behind
-``resultant`` and ``poly_gcd``; over Q those sequences run on a private
-integer ring after clearing denominators.  Its only zero test is the truth
-test: a ring element is falsy exactly when it is zero.
+polynomial arithmetic and the subresultant remainder sequence behind
+``resultant``; over Q that sequence runs on a private integer ring after
+clearing denominators.  Its only zero test is the truth test: a ring
+element is falsy exactly when it is zero.
 
 Polynomial products in every ring run on one integer kernel, ``_convolve``.
 It multiplies by Kronecker substitution: each signed integer operand is
@@ -37,9 +37,9 @@ Q for a monic integer divisor, with the numerator's denominators cleared
 once, and over Q[a] for a divisor monic over Z[a], with each cleared Z[a]
 coefficient packed into one int at a = 2**(8w) and a bound on the slots
 proving the unpacked result (``_divmod_qa``).  Everything else, and the
-pseudo-remainders of the remainder sequences, runs the generic ring loop;
-the private integer ring is Q's arithmetic on ints with a checked exact
-division.
+pseudo-remainders of the resultant's remainder sequence, runs the generic
+ring loop; the private integer ring is Q's arithmetic on ints with a
+checked exact division.
 
 All arithmetic is exact; floating point appears nowhere.  Exact division
 failures carry the offending remainder because a nonzero remainder is
@@ -74,7 +74,7 @@ def _power(mul, one, u, k: int):
 
 class CoefficientRing:
     """The one arithmetic protocol: Polynomial, the division kernels and the
-    resultant/gcd remainder sequences all call these methods.
+    resultant's remainder sequence all call these methods.
 
     The truth test is the protocol's only zero test: in every ring an
     element is falsy exactly when it is zero, and every loop skips with it.
@@ -148,7 +148,7 @@ class Rationals(CoefficientRing):
 
 
 class _Integers(Rationals):
-    """Z on plain ints: the Q resultant and gcd clear denominators into it.
+    """Z on plain ints: the Q resultant clears denominators into it.
 
     Q's add, mul and neg serve ints unchanged; only the
     checked division and the power differ.  Arithmetic only; no polynomial
@@ -507,15 +507,6 @@ class Polynomial:
                 f"nonzero remainder of degree {rem.degree}", remainder=rem)
         return quot
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        ring = self.ring
-        if not ring.is_field:
-            raise DomainError("monic() requires field coefficients")
-        inv_lc = ring.exact_div(ring.one, self.lc)
-        return self.scale(inv_lc)
-
     # -- presentation
 
     def to_text(self) -> str:
@@ -539,10 +530,15 @@ class Polynomial:
         elif tag == "Qa":
             ring = QA
         elif tag == "Fp":
+            if "p" not in data:
+                raise DomainError("an Fp polynomial needs its prime p")
             ring = PrimeField(int(data["p"]))
         else:
             raise DomainError(f"unknown ring tag {tag!r}")
-        return cls(ring, [ring.coerce(c) for c in data.get("coeffs", [])])
+        coeffs = data.get("coeffs", [])
+        if not isinstance(coeffs, list):
+            raise DomainError(f"coeffs must be a list, not {coeffs!r}")
+        return cls(ring, coeffs)
 
 
 def _raw(ring: CoefficientRing, coeffs: tuple) -> Polynomial:
@@ -815,7 +811,7 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
 
 
 # ---------------------------------------------------------------------------
-# contents, primitive parts, gcd
+# resultants via a fraction-free subresultant remainder sequence
 
 def _q_clear_content(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """Write a nonzero rational coefficient list as scalar * primitive ints."""
@@ -828,95 +824,6 @@ def _int_primitive(cs: Sequence[int]) -> list[int]:
     g = math.gcd(*cs)
     return [c // g for c in cs] if g else list(cs)
 
-
-def _prs_gcd(a: Sequence, b: Sequence, ring: CoefficientRing,
-             primitive) -> list:
-    """Primitive gcd of two coefficient lists over ring by primitive PRS.
-
-    primitive maps a coefficient list to its canonical primitive part and
-    [] to []; every remainder is replaced by it before the next step.
-    """
-    a, b = primitive(a), primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, primitive(_prs_prem(a, b, ring))
-    return a
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Greatest common divisor.
-
-    Monic over a field.  Over Q[a] it is the monic gcd of the two Q[a]
-    contents times the gcd of the primitive parts, which a primitive-part
-    pseudo-remainder sequence computes with integer coefficients and a
-    positive leading rational.
-    """
-    if p.ring != q.ring:
-        raise DomainError("gcd of polynomials over different rings")
-    ring = p.ring
-    if ring is QA:
-        content = poly_gcd(_qa_content(p.coeffs), _qa_content(q.coeffs))
-        g = _prs_gcd(p.coeffs, q.coeffs, QA, _qa_primitive)
-        return Polynomial.constant(QA, content.coeffs) * Polynomial(QA, g)
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
-    if ring is QQ:
-        a, _ = _q_clear_content(p.coeffs)
-        b, _ = _q_clear_content(q.coeffs)
-        return Polynomial(QQ, _prs_gcd(a, b, _ZZ, _int_primitive)).monic()
-    if isinstance(ring, PrimeField):
-        a, b = p, q
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-    raise DomainError(f"gcd unsupported over {ring!r}")  # pragma: no cover
-
-
-def _qa_content(coeffs: Sequence[tuple]) -> Polynomial:
-    """Content of a Q[a][x] polynomial: gcd in Q[a] of its coefficients."""
-    content = Polynomial.zero(QQ)
-    for c in coeffs:
-        content = poly_gcd(content, Polynomial(QQ, c))
-        if content.degree == 0:
-            break
-    return content
-
-
-def _qa_primitive(coeffs: Sequence[tuple]) -> list[tuple]:
-    """Canonical primitive form: integer-primitive, positive leading rational."""
-    if not coeffs:
-        return []
-    content = _qa_content(coeffs)
-    cs = [QA.exact_div(c, content.coeffs) for c in coeffs]
-    flat = [f for c in cs for f in c]
-    ints, den = _clear_denominators(flat)
-    scale = Fraction(den, math.gcd(*ints))
-    if cs[-1][-1] < 0:
-        scale = -scale
-    return [tuple(f * scale for f in c) for c in cs]
-
-
-def is_squarefree(p: Polynomial) -> bool:
-    """True when p has no repeated factor, that is when gcd(p, p') = 1.
-
-    Requires field coefficients.  In characteristic p a vanishing derivative
-    of a nonconstant polynomial reports False (the polynomial is inseparable).
-    """
-    if not p.ring.is_field:
-        raise DomainError("is_squarefree() requires field coefficients")
-    if p.is_zero:
-        return False
-    dp = p.derivative()
-    if p.degree > 0 and dp.is_zero:
-        return False
-    return poly_gcd(p, dp).degree == 0
-
-
-# ---------------------------------------------------------------------------
-# resultants via a fraction-free subresultant remainder sequence
 
 def _prs_prem(a: Sequence, b: Sequence, ring: CoefficientRing) -> tuple:
     """Pseudo-remainder of a by b: lc(b)^(da-db+1) * a mod b, over an

@@ -21,8 +21,8 @@ from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import necklace_poly
 from dynlab.numtheory import divisors, squarefree_divisors
-from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, is_squarefree,
-                             parse_polynomial, poly_gcd, resultant)
+from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, parse_polynomial,
+                             resultant)
 
 X = Polynomial.x(QQ)
 F_SQUARE = X**2
@@ -515,34 +515,12 @@ class TestCharacteristicP:
                 assert deriv.degree == 0
                 expected = (pow(2, m + n, 5) - pow(2, m, 5)) % 5
                 assert deriv.coeffs[0] == expected
-                assert is_squarefree(gap) == (expected != 0)
 
     def test_common_root_resultant_vanishes(self):
         phi1 = dynatomic_poly(self.f, 1)
         phi4 = dynatomic_poly(self.f, 4)
         assert phi4.degree == 600
         assert resultant(phi1, phi4) == 0
-        assert poly_gcd(phi1, phi4).degree > 0
-
-
-class TestSquarefreeGenericParameters:
-    def test_rational_specializations(self):
-        # |t| > 2 keeps t outside the degree-k multibrot set, where the
-        # shift-of-iterates polynomial provably has distinct roots; rationals
-        # inside it (0, -3/4, -1, ...) genuinely break squarefreeness
-        rng = random.Random(555)
-        for k in (2, 3):
-            for _ in range(10):
-                t = rng.choice([-1, 1]) * \
-                    (2 + Fraction(rng.randint(1, 72), rng.randint(1, 9)))
-                f = Polynomial.monomial(QQ, k) + Polynomial.constant(QQ, t)
-                for m in range(0, 3):
-                    for n in range(1, 4):
-                        if k**(m + n) > 300:
-                            continue
-                        gap = f.iterate(m + n) - f.iterate(m)
-                        assert poly_gcd(gap, gap.derivative()).degree == 0, \
-                            (k, t, m, n)
 
 
 def _degree_cap_from(value):

@@ -7,8 +7,7 @@ from conftest import sylvester_resultant
 from dynlab.errors import DomainError, ExactDivisionError
 from dynlab.dynatomic import fixed_point_identity
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _iterates,
-                             is_squarefree, parse_polynomial, poly_gcd,
-                             resultant)
+                             parse_polynomial, resultant)
 
 X = Polynomial.x(QQ)
 
@@ -138,6 +137,12 @@ class TestEvaluationAndComposition:
             table = _iterates(f, range(5), modulus)
             assert table == {k: f.iterate(k) % modulus for k in range(5)}
 
+    def test_derivative_examples(self):
+        assert (X**8 - X**2).derivative() == 8 * X**7 - 2 * X
+        f5 = PrimeField(5)
+        poly = Polynomial(f5, [0, 2, 0, 0, 0, 1])  # x^5 + 2x
+        assert poly.derivative() == Polynomial.constant(f5, 2)
+
 
 class TestTruthValue:
     @pytest.mark.parametrize("ring", [QQ, PrimeField(7), QA])
@@ -193,55 +198,6 @@ class TestDivision:
         with pytest.raises(ExactDivisionError):
             # dividing x by (a*x) forces 1/a, which leaves Q[a]
             Polynomial.x(QA).div_exact(a_poly * Polynomial.x(QA))
-
-
-class TestGcdAndSquarefree:
-    def test_gcd_examples(self):
-        assert poly_gcd(X**2 - 1, X - 1) == X - 1
-        assert poly_gcd(X**2 + X + 1, X**2 + X + 2).degree == 0
-        assert poly_gcd((X - 1)**2 * (X + 4), (X - 1) * (X + 1)) == X - 1
-
-    def test_gcd_monic_over_fields(self):
-        g = poly_gcd(3 * (X - 2) * (X + 1), 6 * (X - 2))
-        assert g == X - 2
-
-    def test_param_ring_gcd_primitive(self):
-        a_const = Polynomial.constant(QA, QA.param)
-        xa = Polynomial.x(QA)
-        p = (xa - a_const) * (xa + 1) * 2
-        q = (xa - a_const) * (xa - 1) * 3
-        g = poly_gcd(p, q)
-        assert g == xa - a_const
-
-    def test_param_ring_gcd_keeps_common_content(self):
-        a_const = Polynomial.constant(QA, QA.param)
-        xa = Polynomial.x(QA)
-        content = a_const + 2
-        assert poly_gcd(content * xa, content * (xa**2 + 1)) == content
-        assert (poly_gcd(content * (xa - 1), content * (xa**2 - 1))
-                == content * (xa - 1))
-
-    def test_derivative_examples(self):
-        assert (X**8 - X**2).derivative() == 8 * X**7 - 2 * X
-        f5 = PrimeField(5)
-        poly = Polynomial(f5, [0, 2, 0, 0, 0, 1])  # x^5 + 2x
-        assert poly.derivative() == Polynomial.constant(f5, 2)
-
-    def test_squarefree(self):
-        assert not is_squarefree((X - 1)**2)
-        assert is_squarefree((X - 1) * (X + 1))
-        assert is_squarefree(X**2 + X + 1)
-
-    def test_squarefree_char_p(self):
-        f5 = PrimeField(5)
-        assert is_squarefree(Polynomial(f5, [0, 2, 0, 0, 0, 1]))
-        # derivative vanishes: inseparable, reported not squarefree
-        assert not is_squarefree(Polynomial(f5, [1, 0, 0, 0, 0, 1]))
-
-    def test_squarefree_falls_back_exactly(self):
-        # a repeated cubic factor: gcd(p, p') is that cubic
-        p = (X**3 - X + 1)**2 * (X + 7)
-        assert not is_squarefree(p)
 
 
 class TestResultant:
@@ -392,6 +348,12 @@ REFUSALS = [
     pytest.param(lambda: Polynomial.from_json_dict(
                      {"ring": "Fp", "p": 7, "coeffs": ["1/0"]}),
                  DomainError, "zero denominator", id="Fp-json-zero-den"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Q", "coeffs": "12"}),
+                 DomainError, "coeffs must be a list", id="json-coeffs-string"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Fp", "coeffs": ["1"]}),
+                 DomainError, "needs its prime p", id="Fp-json-no-p"),
     pytest.param(lambda: parse_polynomial("x^2+a").specialize(0.1),
                  DomainError, "cannot interpret 0.1", id="specialize-float"),
     pytest.param(lambda: fixed_point_identity(X**2, 1.0, 3),

@@ -4,9 +4,9 @@ Division must satisfy a == q*b + r with deg r < deg b over every ring the
 library serves.  Operand lengths are drawn on both sides of
 ``_SCHOOLBOOK_TERMS``, so the products that check a division run the
 schoolbook loop and, where enough coefficients are nonzero, the Kronecker
-kernel.  The pseudo-remainder behind ``resultant`` and ``poly_gcd`` must
-leave lc(b)^(da-db+1) * a minus itself divisible by b, with degree below
-deg b, over Z, F_p and Q[a].  A sign after ``*`` negates the power that
+kernel.  The pseudo-remainder behind ``resultant`` must leave
+lc(b)^(da-db+1) * a minus itself divisible by b, with degree below deg b,
+over Z, F_p and Q[a].  A sign after ``*`` negates the power that
 follows it.  A coerced ring element must be falsy exactly when it is zero,
 since that truth test is the rings' only zero test.  Every root of unity
 that the cyclotomic scan's filter uses must have the order it stands for.
