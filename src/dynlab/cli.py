@@ -445,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 1
 
 
 if __name__ == "__main__":

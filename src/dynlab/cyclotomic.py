@@ -4,13 +4,12 @@ The scan peels x and every cyclotomic factor (with multiplicity) off a
 rational polynomial and certifies that the remaining cofactor has no
 further such factors.
 
-Candidate indices k are bounded through the totient: a cyclotomic factor
-Phi_k of a degree-D polynomial has phi(k) <= D.  A k with r distinct prime
-factors is at least the product of the first r primes P_1 ... P_r, and
-k/phi(k) <= prod_{i<=r} P_i/(P_i - 1) =: R(r), so k <= D * R(r).  Starting
-from the crude cap 2*D**2 (phi(k) >= sqrt(k/2)), the cap K is replaced by
-floor(D * R(r(K))), r(K) the largest r whose primorial is <= K, until it
-stops shrinking; every step is exact integer and Fraction arithmetic.
+Candidate indices k are enumerated exactly: a cyclotomic factor Phi_k of
+a degree-D polynomial has phi(k) <= D.  phi is multiplicative and
+phi(p**e) = (p - 1) * p**(e - 1), so each k is 1 extended by prime powers
+p**e, the primes taken in ascending order, with phi(k) known at every step.
+A branch stops at the first prime whose p - 1 pushes phi past D, as every
+later prime does too; from phi(1) = 1 that is the first prime above D + 1.
 
 Before an exact division by Phi_k, each candidate passes a modular filter:
 with P an integer polynomial that is a multiple of the cofactor in Q[x], q
@@ -33,16 +32,13 @@ A scan makes at most one search per candidate it tests.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
-from .numtheory import _element_of_order, core_and_cocore, factorize, is_prime
+from .numtheory import (_element_of_order, _primes_below, core_and_cocore,
+                        factorize, is_prime)
 from .polycore import QQ, Polynomial, _clear_denominators
-
-_totient_sieve: list[int] = [0, 1]
 
 
 @lru_cache(maxsize=None)
@@ -72,52 +68,30 @@ def _at_power(poly: Polynomial, e: int) -> Polynomial:
     return Polynomial(QQ, coeffs)
 
 
-def _totients_up_to(limit: int) -> list[int]:
-    """Grow-and-cache totient sieve; returns the sieve array (index = k).
+def cyclotomic_candidates(max_phi: int) -> dict[int, int]:
+    """{k: phi(k)} for all k with phi(k) <= max_phi, in ascending k; empty
+    when max_phi < 1.
 
-    Callers that race may each build a sieve; any of them is a valid one.
-    """
-    global _totient_sieve
-    if len(_totient_sieve) > limit:
-        return _totient_sieve
-    size = max(limit + 1, 2 * len(_totient_sieve))
-    sieve = list(range(size))
-    for i in range(2, size):
-        if sieve[i] == i:  # i prime
-            for j in range(i, size, i):
-                sieve[j] -= sieve[j] // i
-    _totient_sieve = sieve
-    return sieve
-
-
-def _candidate_cap(max_phi: int) -> int:
-    """An integer K with phi(k) <= max_phi only for k <= K (module docstring)."""
-    cap = 2 * max_phi * max_phi
-    while True:
-        ratio, primorial = Fraction(1), 1
-        for p in filter(is_prime, itertools.count(2)):
-            if primorial * p > cap:
-                break
-            primorial *= p
-            ratio *= Fraction(p, p - 1)
-        shrunk = max_phi * ratio.numerator // ratio.denominator
-        if shrunk >= cap:
-            return cap
-        cap = shrunk
-
-
-def cyclotomic_candidates(max_phi: int) -> list[int]:
-    """All k with phi(k) <= max_phi, ascending.
-
-    They lie below the primorial cap of the module docstring (5293 for
-    max_phi = 1100, against 2*max_phi**2 = 2420000), and the totients come
-    from one sieve up to that cap.
+    Enumerated by prime powers as the module docstring says (2134
+    candidates for max_phi = 1100).
     """
     if max_phi < 1:
-        return []
-    cap = _candidate_cap(max_phi)
-    sieve = _totients_up_to(cap)
-    return [k for k in range(1, cap + 1) if sieve[k] <= max_phi]
+        return {}
+    primes = _primes_below(max_phi + 2)
+    phi: dict[int, int] = {}
+    stack = [(1, 1, 0)]  # (k, phi(k), index of the first prime k may take)
+    while stack:
+        k, f, i = stack.pop()
+        phi[k] = f
+        for j in range(i, len(primes)):
+            p = primes[j]
+            pk, g = k * p, f * (p - 1)
+            if g > max_phi:
+                break
+            while g <= max_phi:
+                stack.append((pk, g, j + 1))
+                pk, g = pk * p, g * p
+    return dict(sorted(phi.items()))
 
 
 @lru_cache(maxsize=None)
@@ -194,18 +168,15 @@ def cyclo_factor_scan(p: Polynomial) -> CycloFactorReport:
     input_degree = p.degree
     x_mult = p.x_valuation
     cofactor = Polynomial(QQ, p.coeffs[x_mult:])
-    candidates = cyclotomic_candidates(cofactor.degree)
-    top = candidates[-1] if candidates else 1
-    phi = _totients_up_to(top)
-    max_phi = cofactor.degree
+    phi = cyclotomic_candidates(cofactor.degree)
+    top = max(phi, default=1)
     input_terms = terms = _terms(cofactor)
     found: list[tuple[int, int]] = []
-    for k in candidates:
-        if phi[k] > cofactor.degree:
+    for k, totient in phi.items():
+        if totient > cofactor.degree:
             continue
         # the largest candidate divisible by k
-        owner = next(m for m in range(top - top % k, 0, -k)
-                     if phi[m] <= max_phi)
+        owner = next(m for m in range(top - top % k, 0, -k) if m in phi)
         q, w = _shared_root(k, owner)
         if not _vanishes_mod(terms, q, w):
             continue

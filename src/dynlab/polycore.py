@@ -530,14 +530,18 @@ class Polynomial:
         elif tag == "Qa":
             ring = QA
         elif tag == "Fp":
-            if "p" not in data:
-                raise DomainError("an Fp polynomial needs its prime p")
-            ring = PrimeField(int(data["p"]))
+            p = data.get("p")
+            if type(p) is not int:  # also refuses a bool
+                raise DomainError(
+                    f"an Fp polynomial needs its prime p as an int, not {p!r}")
+            ring = PrimeField(p)
         else:
             raise DomainError(f"unknown ring tag {tag!r}")
         coeffs = data.get("coeffs", [])
         if not isinstance(coeffs, list):
             raise DomainError(f"coeffs must be a list, not {coeffs!r}")
+        if any(isinstance(c, bool) for c in coeffs):
+            raise DomainError("a coefficient must not be a bool")
         return cls(ring, coeffs)
 
 

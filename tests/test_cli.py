@@ -433,6 +433,20 @@ class TestErrorHandling:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["necklace", "--d", "1000000000000"],
+        ["cyclo-factors", "--necklace", "1000000000000"],
+    ])
+    def test_out_of_memory_is_one_line_error(self, capsys, monkeypatch, argv):
+        def exhausted(d):
+            raise MemoryError
+        monkeypatch.setattr(dynlab.cli, "necklace_poly", exhausted)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
 
 def test_scan_helpers_consistent():
     rows = scan_rows(20, 10)

@@ -8,9 +8,9 @@ import pytest
 
 from conftest import xn1_divides
 from dynlab import cyclotomic, numtheory
-from dynlab.cyclotomic import (CycloFactorReport, _candidate_cap,
-                               _root_of_unity_mod_prime, cyclo_factor_scan,
-                               cyclotomic_candidates, cyclotomic_poly)
+from dynlab.cyclotomic import (CycloFactorReport, _root_of_unity_mod_prime,
+                               cyclo_factor_scan, cyclotomic_candidates,
+                               cyclotomic_poly)
 from dynlab.errors import DomainError
 from dynlab.necklace import fast_xn1_divides, necklace_poly
 from dynlab.numtheory import divisors, euler_phi, factorize, is_prime
@@ -159,7 +159,7 @@ class TestXn1Divides:
 
 class TestCandidates:
     def test_bound_and_completeness(self):
-        cands = cyclotomic_candidates(16)
+        cands = list(cyclotomic_candidates(16))
         assert all(euler_phi(k) <= 16 for k in cands)
         brute = [k for k in range(1, 2 * 16 * 16 + 1) if euler_phi(k) <= 16]
         assert cands == brute
@@ -168,18 +168,20 @@ class TestCandidates:
         for k in range(1, 5000):
             assert euler_phi(k) >= math.isqrt(k // 2)
 
-    def test_primorial_cap_values(self):
-        assert _candidate_cap(1100) == 5293
-        assert _candidate_cap(1024) == 4928
-        assert _candidate_cap(1) == 2
-
     def test_equals_old_quadratic_list(self, small_totients):
         for max_phi in list(range(1, 501)) + [1024, 1025]:
-            assert (cyclotomic_candidates(max_phi)
+            assert (list(cyclotomic_candidates(max_phi))
                     == old_candidates(small_totients, max_phi)), max_phi
 
+    @pytest.mark.parametrize("max_phi", [1, 16, 200, 1100])
+    def test_values_are_totients(self, max_phi):
+        # the scan reads phi(k) from these values
+        cands = cyclotomic_candidates(max_phi)
+        assert all(phi == euler_phi(k) for k, phi in cands.items())
+
     def test_nonpositive_bound(self):
-        assert cyclotomic_candidates(0) == []
+        assert cyclotomic_candidates(0) == {}
+        assert cyclotomic_candidates(-3) == {}
 
 
 class TestRootOfUnity:

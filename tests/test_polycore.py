@@ -354,6 +354,18 @@ REFUSALS = [
     pytest.param(lambda: Polynomial.from_json_dict(
                      {"ring": "Fp", "coeffs": ["1"]}),
                  DomainError, "needs its prime p", id="Fp-json-no-p"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Fp", "p": 7.9, "coeffs": ["1"]}),
+                 DomainError, "needs its prime p", id="Fp-json-float-p"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Fp", "p": "abc", "coeffs": ["1"]}),
+                 DomainError, "needs its prime p", id="Fp-json-string-p"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Fp", "p": True, "coeffs": ["1"]}),
+                 DomainError, "needs its prime p", id="Fp-json-bool-p"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Q", "coeffs": ["1", True]}),
+                 DomainError, "must not be a bool", id="json-bool-coeff"),
     pytest.param(lambda: parse_polynomial("x^2+a").specialize(0.1),
                  DomainError, "cannot interpret 0.1", id="specialize-float"),
     pytest.param(lambda: fixed_point_identity(X**2, 1.0, 3),
