@@ -368,8 +368,16 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors print the usage, then take main's error path (exit 1)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dynlab",
         description="necklace / cyclotomic / dynatomic polynomial toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -437,9 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DomainError, ResourceLimitError, ExactDivisionError,
             ValueError, OSError) as exc:

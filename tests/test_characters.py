@@ -9,8 +9,9 @@ import pytest
 from conftest import (dense_fold_divisible, dense_necklace_int_coeffs,
                       hyperplane_forms)
 from dynlab.characters import (Character, CoverCertificate,
-                               _entangled_hyperplanes, characters, covers,
-                               equivalence_sweep, unit_group)
+                               _entangled_hyperplanes, _primitive_root_mod_pk,
+                               characters, covers, equivalence_sweep,
+                               unit_group)
 from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import fast_xn1_divides
@@ -66,6 +67,16 @@ class TestUnitGroup:
                 assert pow(g, order, n) == 1
                 for p, _ in factorize(order).factors:
                     assert pow(g, order // p, n) != 1
+
+    def test_primitive_root_lift_past_a_wieferich_root(self):
+        # 5 is the least primitive root mod 40487 but 5**40486 = 1 mod
+        # 40487**2, so the lift adds p; unit_group never gets there under
+        # PHI_CAP, as phi(40487**2) is far above it
+        p = 40487
+        assert pow(5, p - 1, p * p) == 1
+        g = _primitive_root_mod_pk(p, 2)
+        assert g == 5 + p
+        assert pow(g, p - 1, p * p) != 1
 
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError):

@@ -305,6 +305,27 @@ class TestCoverCommand:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("argv", [
+        ["relation", "--m", "1", "--n", "2", "--c", "1"],
+        ["relation", "--m", "x", "--n", "2", "--c", "1", "--d", "3"],
+        ["necklace", "--d", "6", "--format", "xml"],
+        [],
+    ], ids=["missing_flag", "non_int", "bad_format", "no_subcommand"])
+    def test_usage_error_exit_one(self, capsys, argv):
+        # argparse's own exit code 2 would read as relation's "not admissible"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert captured.err.count("error: ") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["relation", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dynlab relation")
+
     def test_domain_error_exit_one(self, capsys):
         code, _ = run_cli(capsys, "necklace", "--d", "0")
         assert code == 1
@@ -353,6 +374,16 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_exponent_in_specialize_is_refused_unread(self, capsys):
+        # Fraction("1e30000000") would build a 30-million-digit int first
+        code = main(["relation", "--m", "1", "--n", "2", "--c", "1", "--d", "3",
+                     "--trials", "0", "--specialize", "a=1e30000000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: cannot interpret '1e30000000' as a "
+                                "rational\n")
 
     def test_deeply_nested_polynomial_is_one_line_error(self, capsys):
         nested = "(" * 1200 + "x^2" + ")" * 1200

@@ -10,7 +10,7 @@ import pytest
 from conftest import dense_fold_divisible, dense_necklace_int_coeffs
 from dynlab import dynatomic, errors
 from dynlab.dynatomic import (DivisibilityEvidence, RelationTuple,
-                              _quotient_remainder, _unit_lead,
+                              _quotient_remainder,
                               build_relation_certificate,
                               dynatomic_degree, dynatomic_poly,
                               fixed_point_identity, generalized_dynatomic,
@@ -305,10 +305,13 @@ def _cross_check(t, f, seed, tables):
     rem, expected = _full_construction(t, f, seed)
     assert verify_relation(t, f, seed=seed, cap=10**6) == expected, (t, f)
     divisor = generalized_dynatomic(f, t.m, t.n)
-    if not _unit_lead(divisor):
+    if divisor.ring is QA and len(divisor.lc) > 1:
         return "lead"
+    top = generalized_dynatomic_degree(f.degree, t.c, t.d)
+    if divisor.degree >= top:
+        return "full"
     tables.clear()
-    fast = _quotient_remainder(t, f, divisor, 10**6)
+    fast = _quotient_remainder(t, f, divisor, top, 10**6)
     # one table, mod D, on every leg
     assert tables == [(divisor, t.m + t.n - 1)], (t, f)
     if fast is None:

@@ -76,6 +76,9 @@ CASES = [
     ("relation_2131_force",
      ["relation", "--m", "2", "--n", "1", "--c", "3", "--d", "1", "--force",
       "--trials", "4"], 2, []),
+    # a usage error: exit 1 (not argparse's 2) and nothing on stdout
+    ("usage_relation_missing_d",
+     ["relation", "--m", "1", "--n", "2", "--c", "1"], 1, []),
     ("scan_300",
      ["scan", "--d-max", "300", "--n-max", "300", "--out", "grid.csv",
       "--svg", "grid.svg"], 0, ["grid.csv", "grid.svg"]),

@@ -339,8 +339,20 @@ class TestTextAndJson:
 
 
 # Refusals: (call, exception, message fragment).  The rational reads refuse
-# floats and zero denominators instead of reading them some other way.
+# floats, zero denominators and every string form but [+-]digits[/digits]
+# instead of reading them some other way.
 REFUSALS = [
+    *(pytest.param(lambda text=text: QQ.coerce(text), DomainError,
+                   "cannot interpret", id=f"Q-string-{name}")
+      for name, text in (("decimal", "1.5"), ("exponent", "1e3"),
+                         ("underscore", "1_000"), ("spaces", " 7 "),
+                         ("newline", "7\n"), ("arabic-digit", "\u0663"),
+                         ("signed-den", "3/-4"))),
+    pytest.param(lambda: PrimeField(7).coerce("1.5"),
+                 DomainError, "cannot interpret", id="Fp-decimal"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Q", "coeffs": ["1e2000000"]}),
+                 DomainError, "cannot interpret", id="json-exponent"),
     pytest.param(lambda: Polynomial(QA, [(0.1,)]),
                  DomainError, "cannot interpret 0.1", id="Qa-float"),
     pytest.param(lambda: PrimeField(7).coerce("1/0"),
