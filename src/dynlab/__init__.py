@@ -24,8 +24,7 @@ from .dynatomic import (ConditionReport, DivisibilityEvidence,
                         dynatomic_poly, fixed_point_identity,
                         generalized_dynatomic, generalized_dynatomic_degree,
                         random_monic_integer_poly, relation_conditions,
-                        telescope_check, unit_relation_resultant,
-                        verify_relation)
+                        unit_relation_resultant, verify_relation)
 
 __version__ = "0.1.0"
 

@@ -128,9 +128,6 @@ class Character(_CharacterFields):
         """Membership of chi in the hyperplane of q: chi(q) = 1."""
         return self._angle_numerator(self.group.dlog_of(q)) == 0
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
 
 def _primitive_root_mod_pk(p: int, k: int) -> int:
     """The least primitive root mod the odd prime p, lifted to mod p**k."""

@@ -173,12 +173,6 @@ def _format_scan_text(name: str, report_dict: dict) -> str:
 
 
 def _cmd_cyclo_factors(args) -> int:
-    chosen = [v is not None for v in (args.poly, args.necklace, args.shifted,
-                                      args.both)]
-    if sum(chosen) != 1:
-        sys.stderr.write("choose exactly one of --poly / --necklace / "
-                         "--shifted / --both\n")
-        return 1
     both = args.both
     necklace = args.necklace if both is None else both
     shifted = args.shifted if both is None else both
@@ -211,19 +205,16 @@ def _cmd_dynatomic(args) -> int:
     f = parse_polynomial(args.f, ring)
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:
-            sys.stderr.write("--m and --n go together\n")
-            return 1
+            raise DomainError("--m and --n go together")
         if args.d is not None:
-            sys.stderr.write("--d does not go with --m/--n\n")
-            return 1
+            raise DomainError("--d does not go with --m/--n")
         poly = generalized_dynatomic(f, args.m, args.n)
         label = f"Phi_{{f,{args.m},{args.n}}}"
     elif args.d is not None:
         poly = dynatomic_poly(f, args.d)
         label = f"Phi_{{f,{args.d}}}"
     else:
-        sys.stderr.write("need --d or --m/--n\n")
-        return 1
+        raise DomainError("need --d or --m/--n")
     if args.format == "json":
         _emit(*_json_pieces({"f": f.to_text(), **_poly_payload(poly)}))
     else:
@@ -391,13 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("cyclo-factors",
                         help="cyclotomic factor scan of a rational polynomial")
-    p.add_argument("--poly", type=str, default=None)
-    p.add_argument("--necklace", type=int, default=None, metavar="D",
-                   help="scan d*M_d")
-    p.add_argument("--shifted", type=int, default=None, metavar="N",
-                   help="scan Phi_N - 1")
-    p.add_argument("--both", type=int, default=None, metavar="D",
-                   help="scan d*M_d and Phi_d - 1 side by side")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--poly", type=str, default=None)
+    one.add_argument("--necklace", type=int, default=None, metavar="D",
+                     help="scan d*M_d")
+    one.add_argument("--shifted", type=int, default=None, metavar="N",
+                     help="scan Phi_N - 1")
+    one.add_argument("--both", type=int, default=None, metavar="D",
+                     help="scan d*M_d and Phi_d - 1 side by side")
     _add_format(p)
     p.set_defaults(func=_cmd_cyclo_factors)
 

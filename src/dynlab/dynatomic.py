@@ -52,7 +52,7 @@ from typing import NamedTuple
 from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, ResourceLimitError, degree_cap
 from .necklace import fast_xn1_divides
-from .numtheory import core_and_cocore, divisors, squarefree_divisors
+from .numtheory import core_and_cocore, squarefree_divisors
 from .polycore import QA, QQ, Polynomial, _iterates, _power, resultant
 
 def dynatomic_degree(k: int, d: int) -> int:
@@ -113,22 +113,6 @@ def generalized_dynatomic(f: Polynomial, m: int, n: int) -> Polynomial:
     return phi if m == 1 else phi.compose(_iterates(f, {m - 1})[m - 1])
 
 
-def telescope_check(f: Polynomial, m: int, n: int) -> bool:
-    """Does the product of all (i <= m, j | n) dynatomics rebuild the gap?
-
-    The gap is f**(m+n)(x) - f**m(x); equality is exact or the check fails.
-    """
-    _require_dynamical(f)
-    if m < 0 or n < 1:
-        raise DomainError("telescope_check needs m >= 0, n >= 1")
-    product = Polynomial.one(f.ring)
-    for i in range(m + 1):
-        for j in divisors(n):
-            product = product * generalized_dynatomic(f, i, j)
-    table = _iterates(f, {m, m + n})
-    return product == table[m + n] - table[m]
-
-
 class _RelationTupleFields(NamedTuple):
     m: int
     n: int
@@ -173,7 +157,12 @@ class ConditionReport(NamedTuple):
 
 
 def relation_conditions(t: RelationTuple) -> ConditionReport:
-    """Arithmetic-only admissibility test for the tuple (m, n, c, d)."""
+    """Arithmetic-only admissibility test for the tuple (m, n, c, d).
+
+    Admissibility is sufficient, not necessary: a tuple it does not admit
+    is not certified by this predicate, which does not say it fails; all 5
+    legs of ``relation --m 0 --n 2 --c 1 --d 4 --force --trials 4`` divide.
+    """
     cond1 = t.m > t.c or t.d % t.n != 0
     cond2 = core_and_cocore(t.d)[1] >= t.m - max(t.c - 1, 0)
     cond3 = fast_xn1_divides(t.d, t.n)

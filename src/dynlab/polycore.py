@@ -349,12 +349,6 @@ class Polynomial:
             raise DomainError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int):
-        """Coefficient of x**k (zero beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.zero
-
     @property
     def x_valuation(self) -> int:
         """Multiplicity of the root x = 0; raises on the zero polynomial."""
@@ -454,12 +448,6 @@ class Polynomial:
         for c in reversed(cs):
             acc = acc * inner + Polynomial.constant(self.ring, c)
         return acc
-
-    def iterate(self, k: int) -> "Polynomial":
-        """k-fold self-composition; the 0th iterate is x."""
-        if not isinstance(k, int) or k < 0:
-            raise DomainError("iteration count must be a nonnegative int")
-        return _iterates(self, {k})[k]
 
     def derivative(self) -> "Polynomial":
         ring = self.ring
@@ -891,7 +879,7 @@ def resultant(p: Polynomial, q: Polynomial):
 # ---------------------------------------------------------------------------
 # text format: expressions over x, a, integer and p/q literals, + - * ^ ( )
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[xa()+\-*^/])")
+_TOKEN_RE = re.compile(r"\s*([0-9]+|[xa()+\-*^/])")
 
 
 def _tokenize(text: str) -> list[str]:

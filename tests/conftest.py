@@ -3,17 +3,20 @@
 These deliberately avoid the library's own fast paths: the dense fold
 oracle works on raw integer coefficient lists, the factored form rebuilds
 the folded necklace sum from the primes of d alone, and the Sylvester
-oracle computes resultants as determinants.  xn1_divides and
-hyperplane_forms are retired library functions kept here as oracles: the
-first folds exponents of a rational polynomial, the second lists each
-usable prime's dlog vector.
+oracle computes resultants as determinants.  xn1_divides,
+hyperplane_forms, coeff, iterate, is_trivial and telescope_check are
+retired library functions kept here as oracles: the first folds exponents
+of a rational polynomial, the second lists each usable prime's dlog vector,
+iterate is a plain compose loop, and telescope_check multiplies
+generalized dynatomics back into an iterate gap.
 """
 
 from fractions import Fraction
 
 from dynlab.characters import unit_group
+from dynlab.dynatomic import generalized_dynatomic
 from dynlab.errors import DomainError
-from dynlab.numtheory import factorize, squarefree_divisors
+from dynlab.numtheory import divisors, factorize, squarefree_divisors
 from dynlab.polycore import QQ, Polynomial
 
 
@@ -60,6 +63,34 @@ def xn1_divides(p: Polynomial, n: int) -> bool:
     for k, c in enumerate(p.coeffs):
         folded[k % n] += c
     return all(not c for c in folded)
+
+
+def coeff(p: Polynomial, k: int):
+    """Coefficient of x**k in p (zero beyond the degree)."""
+    return p.coeffs[k] if 0 <= k < len(p.coeffs) else p.ring.zero
+
+
+def iterate(f: Polynomial, k: int) -> Polynomial:
+    """k-fold self-composition of f, one compose at a time; the 0th is x."""
+    g = Polynomial.x(f.ring)
+    for _ in range(k):
+        g = f.compose(g)
+    return g
+
+
+def is_trivial(chi) -> bool:
+    """Is the character chi trivial, i.e. are all its exponents zero?"""
+    return all(e == 0 for e in chi.exponents)
+
+
+def telescope_check(f: Polynomial, m: int, n: int) -> bool:
+    """Does the product of all (i <= m, j | n) generalized dynatomics
+    rebuild the gap f**(m+n)(x) - f**m(x) exactly?"""
+    product = Polynomial.one(f.ring)
+    for i in range(m + 1):
+        for j in divisors(n):
+            product = product * generalized_dynatomic(f, i, j)
+    return product == iterate(f, m + n) - iterate(f, m)
 
 
 def hyperplane_forms(d: int, n: int) -> list[tuple[int, tuple[int, ...]]]:

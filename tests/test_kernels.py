@@ -368,7 +368,7 @@ class TestPackedQaDivision:
         calls = count_packed_loops(monkeypatch)
         q = divmod(num, den)[0]
         assert len(calls) > 1
-        assert q.coeff(0)[19] == 1000**19
+        assert q.coeffs[0][19] == 1000**19
 
     @pytest.mark.parametrize("den", ["2*x^2 + a", "2", "x^2 + 1/2*a"])
     def test_other_divisors_take_the_ring_loop(self, den, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import (dense_fold, dense_fold_divisible,
                       dense_necklace_int_coeffs, factored_necklace_fold,
-                      fold_index, fold_inverse)
+                      fold_index, fold_inverse, iterate)
 from dynlab.dynatomic import _reduce_index
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
@@ -152,7 +152,7 @@ class TestDynamicalNecklace:
                 for m in range(0, 3):
                     for n in range(1, 4):
                         if cocore >= m and fast_xn1_divides(d, n):
-                            gap = f.iterate(m + n) - f.iterate(m)
+                            gap = iterate(f, m + n) - iterate(f, m)
                             assert (mfd % gap).is_zero, (f, d, m, n)
 
     def test_char_p_rejected_when_not_invertible(self):

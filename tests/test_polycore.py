@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sylvester_resultant
+from conftest import coeff, iterate, sylvester_resultant
 from dynlab.errors import DomainError, ExactDivisionError
 from dynlab.dynatomic import fixed_point_identity
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _iterates,
@@ -89,7 +89,7 @@ class TestMonomialPower:
             for _ in range(50):
                 p, q = rand_poly(rng, ring, 6), rand_poly(rng, ring, 6)
                 n = max(len(p.coeffs), len(q.coeffs))
-                expected = [ring.add(p.coeff(i), q.coeff(i)) for i in range(n)]
+                expected = [ring.add(coeff(p, i), coeff(q, i)) for i in range(n)]
                 assert p + q == Polynomial(ring, expected)
 
 
@@ -114,9 +114,10 @@ class TestEvaluationAndComposition:
             assert p.compose(q).compose(r) == p.compose(q.compose(r))
 
     def test_iterate(self):
-        assert (X**2).iterate(3) == X**8
-        assert (X**5 - 3).iterate(0) == X
-        assert (X**2 + 1).iterate(2) == X**4 + 2 * X**2 + 2
+        for f, k, expected in ((X**2, 3, X**8), (X**5 - 3, 0, X),
+                               (X**2 + 1, 2, X**4 + 2 * X**2 + 2)):
+            assert _iterates(f, {k})[k] == expected
+            assert iterate(f, k) == expected
 
     def test_iterates_compose_no_further_than_needed(self, monkeypatch):
         calls = []
@@ -124,7 +125,7 @@ class TestEvaluationAndComposition:
         monkeypatch.setattr(Polynomial, "compose",
                             lambda p, q: calls.append(1) or compose(p, q))
         f = X**2 + 1
-        assert f.iterate(5) == f.compose(f.iterate(4))
+        assert _iterates(f, {5})[5] == f.compose(_iterates(f, {4})[4])
         assert len(calls) == 5 + 1 + 4
         calls.clear()
         table = _iterates(f, {2, 5})
@@ -135,7 +136,7 @@ class TestEvaluationAndComposition:
         f = Polynomial(ring, (1, 2, 1, 1))
         for modulus in (Polynomial(ring, (3, 1)), Polynomial(ring, (1, 0, 1, 0, 1))):
             table = _iterates(f, range(5), modulus)
-            assert table == {k: f.iterate(k) % modulus for k in range(5)}
+            assert table == {k: iterate(f, k) % modulus for k in range(5)}
 
     def test_derivative_examples(self):
         assert (X**8 - X**2).derivative() == 8 * X**7 - 2 * X
@@ -390,6 +391,11 @@ REFUSALS = [
                  DomainError, "trailing tokens", id="parse-close"),
     pytest.param(lambda: parse_polynomial("2 x"),
                  DomainError, "trailing tokens", id="parse-juxtaposed"),
+    pytest.param(lambda: parse_polynomial("x+\u0663"),
+                 DomainError, "unexpected character", id="parse-arabic-digit"),
+    pytest.param(lambda: Polynomial.from_json_dict(
+                     {"ring": "Qa", "coeffs": ["\u0663"]}),
+                 DomainError, "unexpected character", id="Qa-json-arabic-digit"),
 ]
 
 

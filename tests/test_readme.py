@@ -1,6 +1,9 @@
-"""The README's code runs against the library as it stands."""
+"""The README's code runs against the library as it stands, and the
+library's public names are the ones listed here."""
 
 from pathlib import Path
+
+import dynlab
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,22 @@ def test_library_tour_runs():
     start += len("```python\n")
     block = text[start:text.index("```", start)]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_public_surface():
+    assert sorted(dynlab.__all__) == [
+        "Character", "CoefficientRing", "ConditionReport", "CoverCertificate",
+        "CycloFactorReport", "DivisibilityEvidence", "DomainError",
+        "ExactDivisionError", "Factorization", "ParamRing", "Polynomial",
+        "PrimeField", "QA", "QQ", "Rationals", "RelationCertificate",
+        "RelationTuple", "ResourceLimitError", "UnitGroup",
+        "build_relation_certificate", "characters", "core_and_cocore",
+        "covers", "cyclo_factor_scan", "cyclotomic", "cyclotomic_candidates",
+        "cyclotomic_poly", "divisors", "dynamical_necklace", "dynatomic",
+        "dynatomic_degree", "dynatomic_poly", "equivalence_sweep", "errors",
+        "euler_phi", "factorize", "fast_xn1_divides", "fixed_point_identity",
+        "generalized_dynatomic", "generalized_dynatomic_degree", "is_prime",
+        "mobius", "necklace", "necklace_poly", "numtheory",
+        "parse_polynomial", "polycore", "random_monic_integer_poly",
+        "relation_conditions", "resultant", "squarefree_divisors",
+        "unit_group", "unit_relation_resultant", "verify_relation"]
