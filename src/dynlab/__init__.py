@@ -8,6 +8,8 @@ fields, and certifies the universal divisibility relations behind
 multiplicative relations between dynamical units.
 """
 
+from types import ModuleType as _Module
+
 from .errors import DomainError, ExactDivisionError, ResourceLimitError
 from .numtheory import (Factorization, core_and_cocore, divisors, euler_phi,
                         factorize, is_prime, mobius, squarefree_divisors)
@@ -28,4 +30,6 @@ from .dynatomic import (ConditionReport, DivisibilityEvidence,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names above, less the submodules that the imports bind as a side effect
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _Module)]

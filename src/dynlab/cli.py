@@ -24,10 +24,12 @@ from .characters import covers
 from .cyclotomic import cyclo_factor_scan, cyclotomic_poly
 from .dynatomic import (RelationTuple, build_relation_certificate,
                         dynatomic_poly, generalized_dynatomic)
-from .errors import DomainError, ExactDivisionError, ResourceLimitError
+from .errors import (DomainError, ExactDivisionError, ResourceLimitError,
+                     _ascii_int, degree_cap)
 from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
 from .numtheory import core_and_cocore, divisors, squarefree_divisors
-from .polycore import QA, QQ, PrimeField, Polynomial, parse_polynomial
+from .polycore import (QA, QQ, _SPACE, PrimeField, Polynomial,
+                       parse_polynomial)
 
 
 # A piece longer than this many characters is written in slices of it.
@@ -226,14 +228,13 @@ def _cmd_dynatomic(args) -> int:
 
 def _parse_specialize(text: str) -> Fraction:
     name, _, value = text.partition("=")
-    if name.strip() != "a" or not value:
+    if name.strip(_SPACE) != "a" or not value:
         raise DomainError("--specialize expects a=<rational>, e.g. a=-5/4")
-    return QQ.coerce(value.strip())
+    return QQ.coerce(value.strip(_SPACE))
 
 
 def _cmd_relation(args) -> int:
-    if args.degree_max is not None and args.degree_max < 0:
-        raise DomainError(f"--degree-max must be >= 0, got {args.degree_max}")
+    cap = degree_cap(args.degree_max)
     t = RelationTuple(m=args.m, n=args.n, c=args.c, d=args.d)
     family = parse_polynomial(args.family)
     label = args.family
@@ -246,7 +247,7 @@ def _cmd_relation(args) -> int:
         label = f"{args.family} at a = {value}"
     cert = build_relation_certificate(
         t, family=family, family_label=label, trials=args.trials,
-        seed=args.seed, cap=args.degree_max, force=args.force)
+        seed=args.seed, cap=cap, force=args.force)
     _write_certificate(cert.to_json_dict, args.out, args.format)
     if args.format == "text":
         # rendered whole before writing: a cofactor degree past Python's
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("necklace", help="print a (dynamical) necklace polynomial")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_ascii_int, required=True)
     p.add_argument("--f", type=str, default=None,
                    help="polynomial for the dynamical variant M_{f,d}")
     _add_format(p)
@@ -384,36 +385,36 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cyclotomic factor scan of a rational polynomial")
     one = p.add_mutually_exclusive_group(required=True)
     one.add_argument("--poly", type=str, default=None)
-    one.add_argument("--necklace", type=int, default=None, metavar="D",
+    one.add_argument("--necklace", type=_ascii_int, default=None, metavar="D",
                      help="scan d*M_d")
-    one.add_argument("--shifted", type=int, default=None, metavar="N",
+    one.add_argument("--shifted", type=_ascii_int, default=None, metavar="N",
                      help="scan Phi_N - 1")
-    one.add_argument("--both", type=int, default=None, metavar="D",
+    one.add_argument("--both", type=_ascii_int, default=None, metavar="D",
                      help="scan d*M_d and Phi_d - 1 side by side")
     _add_format(p)
     p.set_defaults(func=_cmd_cyclo_factors)
 
     p = subs.add_parser("dynatomic", help="print a (generalized) dynatomic polynomial")
     p.add_argument("--f", type=str, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, default=None,
+    p.add_argument("--d", type=_ascii_int, default=None)
+    p.add_argument("--m", type=_ascii_int, default=None)
+    p.add_argument("--n", type=_ascii_int, default=None)
+    p.add_argument("--p", type=_ascii_int, default=None,
                    help="prime: interpret f over the field with p elements")
     _add_format(p)
     p.set_defaults(func=_cmd_dynatomic)
 
     p = subs.add_parser("relation",
                         help="evaluate and certify a divisibility relation tuple")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--m", type=_ascii_int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--c", type=_ascii_int, required=True)
+    p.add_argument("--d", type=_ascii_int, required=True)
     p.add_argument("--family", type=str, default="x^2+a")
     p.add_argument("--specialize", type=str, default=None, metavar="a=VAL")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--degree-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_ascii_int, default=20)
+    p.add_argument("--degree-max", type=_ascii_int, default=None)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--force", action="store_true",
                    help="run evidence even for non-admissible tuples")
@@ -421,15 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_relation)
 
     p = subs.add_parser("scan", help="grid scan of x^n - 1 | M_d to CSV/SVG")
-    p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--d-max", type=_ascii_int, required=True)
+    p.add_argument("--n-max", type=_ascii_int, required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--svg", type=str, default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = subs.add_parser("cover", help="hyperplane-cover divisibility certificate")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=_ascii_int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--certificate", type=str, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_cover)

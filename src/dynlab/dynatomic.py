@@ -50,7 +50,7 @@ import random
 from typing import NamedTuple
 
 from .cyclotomic import cyclotomic_poly
-from .errors import DomainError, ResourceLimitError, degree_cap
+from .errors import DomainError, _exact_degree, _refuse_over_cap, degree_cap
 from .necklace import fast_xn1_divides
 from .numtheory import core_and_cocore, squarefree_divisors
 from .polycore import QA, QQ, Polynomial, _iterates, _power, resultant
@@ -184,15 +184,6 @@ class DivisibilityEvidence(NamedTuple):
         return self._asdict()
 
 
-def _check_cap(k: int, pre: int, per: int, cap: int) -> None:
-    """Refuse to build the (pre, per) dynatomic when its degree is over cap."""
-    predicted = generalized_dynatomic_degree(k, pre, per)
-    if predicted > cap:
-        raise ResourceLimitError(
-            f"degree {predicted} of the ({pre}, {per}) dynatomic exceeds "
-            f"the cap {cap}")
-
-
 def verify_relation(t: RelationTuple, f: Polynomial, *,
                     family: str | None = None,
                     seed: int | None = None,
@@ -204,29 +195,43 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     N'' = Dn'' mod D, or by N'' / Dn'' mod D.  Otherwise Phi_{f,c,d} is
     built and divided.  The cap (5000, or DYNLAB_DEGREE_CAP) bounds what
     is built.  It is checked for D before anything is built, and for
-    Phi_{f,c,d} before the full construction.  A leg with c >= m and n | d
-    has factors that are 0 mod D; the pass replaces them by G_k(lambda)
-    mod D only when deg Phi_{f,c,d} is within the cap, and past it leaves
-    the leg to the full construction, which refuses it.  Each refusal is a
-    ResourceLimitError.  Any other leg that the pass decides builds only D
-    and the iterates mod D up to f**(m+n-1), so it may answer past the cap.
+    Phi_{f,c,d} before the full construction, each time from a lower bound
+    of the degree first, so no degree far past the cap is formed.  A leg
+    with c >= m and n | d has factors that are 0 mod D; the pass replaces
+    them by G_k(lambda) mod D only when deg Phi_{f,c,d} is within the cap,
+    and past it leaves the leg to the full construction, which refuses it.
+    Each refusal is a ResourceLimitError.  Any other leg that the pass
+    decides builds only D and the iterates mod D up to f**(m+n-1), so it
+    may answer past the cap.
     """
     _require_dynamical(f)
     cap = degree_cap() if cap is None else cap
     k = f.degree
-    _check_cap(k, t.m, t.n, cap)
+
+    def refuse_over_cap(pre: int, per: int) -> None:
+        # sum mu(e) * k**(per/e) >= k**(per-1), so the degree is at least
+        # 2**(pre+per-2), and the refusal never builds a degree far past cap
+        _refuse_over_cap(cap, f"the ({pre}, {per}) dynatomic", pre + per - 2,
+                         lambda: generalized_dynatomic_degree(k, pre, per))
+
+    refuse_over_cap(t.m, t.n)
     divisor = generalized_dynatomic(f, t.m, t.n)
-    top = generalized_dynatomic_degree(k, t.c, t.d)
-    rem = _quotient_remainder(t, f, divisor, top, cap)
+    # the pass compares top only with deg D, (deg D)**2 and cap
+    limit = max(cap, divisor.degree ** 2)
+    top = _exact_degree(limit, t.c + t.d - 2,
+                        lambda: generalized_dynatomic_degree(k, t.c, t.d))
+    rem = _quotient_remainder(t, f, divisor,
+                              limit + 1 if top is None else top, cap)
     if rem is None:
-        _check_cap(k, t.c, t.d, cap)
+        refuse_over_cap(t.c, t.d)
         rem = (generalized_dynatomic(f, t.c, t.d) - 1) % divisor
     return DivisibilityEvidence(
         family=family if family is not None else f.to_text(),
         ring=f.ring.tag,
         seed=seed,
         divides=rem.is_zero,
-        cofactor_degree=top - divisor.degree if rem.is_zero else None,
+        cofactor_degree=(generalized_dynatomic_degree(k, t.c, t.d)
+                         - divisor.degree) if rem.is_zero else None,
         remainder_degree=None if rem.is_zero else rem.degree,
     )
 
@@ -241,10 +246,11 @@ def _quotient_remainder(t: RelationTuple, f: Polynomial, divisor: Polynomial,
     """(Phi_{f,c,d} - 1) mod D for D = Phi_{f,m,n}, or None if undecided.
 
     Route 1 of the module docstring, with its own gate: the pass runs only
-    when deg D < top = deg Phi_{f,c,d}, so (c, d) != (m, n), and when D's
-    lead is a unit (over Q[a], a constant).  N and Dn collect the factors
-    f**(p+d/e) - f**p at p = c (and, for c >= 1, at p = c - 1 with the
-    opposite sign) by the sign of mu(e), so that Phi_{f,c,d} * Dn = N.
+    when deg D < top = deg Phi_{f,c,d} (or a stand-in above cap and
+    (deg D)**2), so (c, d) != (m, n), and when D's lead is a unit (over
+    Q[a], a constant).  N and Dn collect the factors f**(p+d/e) - f**p at
+    p = c (and, for c >= 1, at p = c - 1 with the opposite sign) by the
+    sign of mu(e), so that Phi_{f,c,d} * Dn = N.
     A factor with p >= m and n | d/e enters as G_(d/(en))(lambda) mod D.
     Such factors exist exactly when c >= m and n | d, and the pass takes
     them only when top <= cap; past it the leg is left open.  N'' = Dn''

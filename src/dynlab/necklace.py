@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError, degree_cap
+from .errors import DomainError, _refuse_over_cap, degree_cap
 from .numtheory import squarefree_divisors
 from .polycore import QQ, Polynomial, _iterates
 
@@ -56,10 +56,9 @@ def dynamical_necklace(f: Polynomial, d: int) -> Polynomial:
         raise DomainError(
             f"{d} is not invertible in characteristic {ring.characteristic}")
     k, cap = f.degree, degree_cap()
-    # k**d > cap whenever 2**d > cap, so k**d is formed only for small d
-    if k > 1 and (d >= cap.bit_length() or k**d > cap):
-        raise ResourceLimitError(
-            f"degree {k}**{d} of the dynamical necklace exceeds the cap {cap}")
+    if k > 1:  # k**d >= 2**d
+        _refuse_over_cap(cap, "the dynamical necklace", d, lambda: k**d,
+                         f"{k}**{d}")
     pairs = squarefree_divisors(d)
     iterates = _iterates(f, {d // e for e, _ in pairs})
     acc = Polynomial.zero(ring)

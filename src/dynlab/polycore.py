@@ -879,13 +879,13 @@ def resultant(p: Polynomial, q: Polynomial):
 # ---------------------------------------------------------------------------
 # text format: expressions over x, a, integer and p/q literals, + - * ^ ( )
 
-_TOKEN_RE = re.compile(r"\s*([0-9]+|[xa()+\-*^/])")
+_SPACE = " \t\r\n"  # the only whitespace the text format ignores
+_TOKEN_RE = re.compile(r"[ \t\r\n]*([0-9]+|[xa()+\-*^/])")
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
+    tokens, pos, end = [], 0, len(text.rstrip(_SPACE))
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise DomainError(f"unexpected character at {text[pos:]!r}")

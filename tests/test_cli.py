@@ -312,7 +312,10 @@ class TestErrorHandling:
         ["relation", "--m", "x", "--n", "2", "--c", "1", "--d", "3"],
         ["necklace", "--d", "6", "--format", "xml"],
         [],
-    ], ids=["missing_flag", "non_int", "bad_format", "no_subcommand"])
+        ["necklace", "--d", "\u0663"],
+        ["necklace", "--d", "1_0"],
+    ], ids=["missing_flag", "non_int", "bad_format", "no_subcommand",
+            "non_ascii_int", "underscore_int"])
     def test_usage_error_exit_one(self, capsys, argv):
         # argparse's own exit code 2 would read as relation's "not admissible"
         code = main(argv)
@@ -367,6 +370,16 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err == ("error: --specialize expects a=<rational>, "
                                 "e.g. a=-5/4\n")
+
+    @pytest.mark.parametrize("text,code", [
+        (" a = -5/4\t", 0), ("a=\u2003-5/4", 1), ("a\u00a0=-5/4", 1)],
+        ids=["ascii", "em_space", "no_break_space"])
+    def test_specialize_ignores_ascii_whitespace_only(self, capsys, text,
+                                                       code):
+        assert main(["relation", "--m", "1", "--n", "2", "--c", "1",
+                     "--d", "3", "--trials", "0",
+                     "--specialize", text]) == code
+        assert capsys.readouterr().err.count("error: ") == code
 
     def test_zero_denominator_is_one_line_error(self, capsys):
         code = main(["relation", "--m", "1", "--n", "2", "--c", "1", "--d", "3",
@@ -443,6 +456,17 @@ class TestErrorHandling:
         assert code == 1
         assert captured.err == ("error: degree 192 of the (6, 3) dynatomic "
                                 "exceeds the cap 100\n")
+
+    def test_degree_past_the_int_to_str_limit_is_refused(self, capsys):
+        # deg Phi_{1,20000} has about 6000 digits: the refusal names the
+        # power of two below it that decided it
+        code = main(["relation", "--m", "0", "--n", "1", "--c", "1",
+                     "--d", "20000", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: degree 2**19999 of the (1, 20000) "
+                                "dynatomic exceeds the cap 5000\n")
 
     def test_quotient_route_answers_past_the_cap(self, capsys):
         # Phi_{0,24} of the quartic legs has degree about 2.8e14; only the

@@ -237,6 +237,24 @@ class TestVerifyRelation:
         ev = verify_relation(t, F_SQ1, cap=125)
         assert not ev.divides and ev.remainder_degree == 2
         assert ev == _full_construction(t, F_SQ1, None)[1]
+        # (2, 1, 1, 2000) divides, and its cofactor degree (603 digits) is
+        # exact although the pass compared only a stand-in with the cap
+        f = parse_polynomial("x^2+x+3")
+        ev = verify_relation(RelationTuple(2, 1, 1, 2000), f)
+        assert ev.divides and ev.cofactor_degree == (
+            generalized_dynatomic_degree(2, 1, 2000)
+            - generalized_dynatomic_degree(2, 2, 1))
+        assert len(str(ev.cofactor_degree)) == 603
+        # the exact degrees of these legs have millions of digits: the lower
+        # bound 2**(m+n-2) refuses them, and the refusal names it
+        for t, leg in ((RelationTuple(0, 1, 1, 10**7), "(1, 10000000)"),
+                       (RelationTuple(10**7, 1, 0, 1), "(10000000, 1)")):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as exc:
+                verify_relation(t, parse_polynomial("x^3+a"))
+            assert time.perf_counter() - start < 0.5
+            assert str(exc.value) == (f"degree 2**9999999 of the {leg} "
+                                      f"dynatomic exceeds the cap 5000")
 
     @pytest.mark.parametrize("d", [24, 60, 10**6])
     def test_quotient_route_past_the_cap(self, d):
@@ -543,9 +561,11 @@ REFUSALS = [
                  DomainError, "checked over Q", id="fixed_point-F7"),
     pytest.param(lambda: fixed_point_identity(F_SQUARE, 1, 1),
                  DomainError, "needs d >= 2", id="fixed_point-d1"),
-    pytest.param(lambda: _degree_cap_from("abc"),
-                 DomainError, "DYNLAB_DEGREE_CAP must be an integer",
-                 id="degree_cap-abc"),
+    *(pytest.param(lambda value=value: _degree_cap_from(value),
+                   DomainError, "DYNLAB_DEGREE_CAP must be an integer",
+                   id=f"degree_cap-{name}")
+      for name, value in (("abc", "abc"), ("arabic-digit", "\u0663"),
+                          ("underscore", "1_000"))),
 ]
 
 

@@ -169,6 +169,10 @@ class TestDynamicalNecklace:
         for f, d in ((X**2, 5), (X**3, 3), (X**2, 10**9)):
             with pytest.raises(ResourceLimitError, match="exceeds the cap 16"):
                 dynamical_necklace(f, d)
+        # the refusal always names k**d, never its value
+        with pytest.raises(ResourceLimitError, match=r"^degree 3\*\*1000000000 "
+                           r"of the dynamical necklace exceeds the cap 16$"):
+            dynamical_necklace(X**3 + 1, 10**9)
 
     def test_counting_interpretation_small(self):
         # M_d(q) counts monic irreducibles of degree d over F_q (brute force

@@ -281,6 +281,9 @@ class TestTextAndJson:
         assert parse_polynomial("(x - 1)*(x + 1)") == X**2 - 1
         fa = parse_polynomial("x^2+a")
         assert fa.ring is QA
+        # ASCII space, tab, CR and LF are ignored anywhere, the ends included
+        for text in ("x+3 ", "\tx+3\n", " x\r\n+ 3\t"):
+            assert parse_polynomial(text) == parse_polynomial("x+3"), text
 
     def test_parse_rejects_garbage(self):
         for bad in ("x +", "x^-2", "x^y", "2//3", "(x", "x$"):
@@ -396,6 +399,14 @@ REFUSALS = [
     pytest.param(lambda: Polynomial.from_json_dict(
                      {"ring": "Qa", "coeffs": ["\u0663"]}),
                  DomainError, "unexpected character", id="Qa-json-arabic-digit"),
+    # the text format ignores ASCII space, tab, CR and LF, and no other space
+    *(pytest.param(call, DomainError, "unexpected character",
+                   id=f"{where}-{name}")
+      for name, space in (("em-space", "\u2003"), ("no-break-space", "\u00a0"))
+      for where, call in (
+          ("parse", lambda space=space: parse_polynomial(f"x+{space}3")),
+          ("Qa-json", lambda space=space: Polynomial.from_json_dict(
+              {"ring": "Qa", "coeffs": [f"{space}a"]})))),
 ]
 
 

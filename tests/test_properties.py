@@ -15,7 +15,10 @@ also when some arrays of v are generators, and pass a long string that
 needs no escape through as itself.  For monic f, g = f**n and h = g - x,
 the quotient u_k = (g**k - x) / h must be 1 + g' + ... + g'**(k-1) mod h
 (the multiplier identity behind the relation pass), and the affine power
-that computes that sum must agree with the plain sum.
+that computes that sum must agree with the plain sum.  The degree cap's
+decision from the lower bound 2**(m+n-2) must be the comparison of the
+exact (m, n) dynatomic degree with the cap, and its refusal must name the
+exact degree up to 2**64 * cap.
 Examples are derandomized, so every run draws the same inputs.
 """
 
@@ -30,7 +33,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dynlab import cyclotomic  # noqa: E402
 from dynlab.cli import _json_pieces  # noqa: E402
-from dynlab.dynatomic import _geometric_sum  # noqa: E402
+from dynlab.dynatomic import (_geometric_sum,  # noqa: E402
+                              generalized_dynatomic_degree)
+from dynlab.errors import ResourceLimitError, _refuse_over_cap  # noqa: E402
 from dynlab.numtheory import factorize, is_prime  # noqa: E402
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField,  # noqa: E402
                              _SCHOOLBOOK_TERMS, _ZZ, _iterates, _prs_prem,
@@ -425,3 +430,23 @@ def test_json_writer_passes_escape_free_strings_by_identity():
     pieces = _json_pieces({"text": text, "json": {"coeffs": [coeff, "1/2"]}})
     assert any(p is text for p in pieces)
     assert any(p is coeff for p in pieces)
+
+
+@settings(deterministic, max_examples=300)
+@given(st.integers(2, 5), st.integers(0, 80), st.integers(1, 80),
+       st.integers(0, 10**6))
+def test_cap_decision_from_the_lower_bound(k, m, n, cap):
+    # m, n <= 14 always builds the exact degree; past m + n = 66 the bound
+    # alone refuses small caps
+    degree = generalized_dynatomic_degree(k, m, n)
+    assert 2**(m + n - 2) <= degree
+    try:
+        _refuse_over_cap(cap, f"the ({m}, {n}) dynatomic", m + n - 2,
+                         lambda: generalized_dynatomic_degree(k, m, n))
+    except ResourceLimitError as exc:
+        assert degree > cap
+        if degree <= cap << 64:
+            assert str(exc) == (f"degree {degree} of the ({m}, {n}) "
+                                f"dynatomic exceeds the cap {cap}")
+    else:
+        assert degree <= cap
