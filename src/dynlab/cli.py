@@ -143,8 +143,14 @@ def _write_certificate(make_json, path: str | None, fmt: str) -> None:
             _emit(*pieces)
 
 
-def _poly_payload(poly: Polynomial) -> dict:
-    return {"text": poly.to_text(), "json": poly.to_json_dict()}
+def _emit_poly(fmt: str, head: dict, label: str, poly: Polynomial) -> int:
+    """Print poly as ``label = text``, or as JSON after the head fields."""
+    if fmt == "json":
+        _emit(*_json_pieces({**head, "text": poly.to_text(),
+                             "json": poly.to_json_dict()}))
+    else:
+        _emit(f"{label} = ", poly.to_text())
+    return 0
 
 
 # -- necklace ---------------------------------------------------------------
@@ -157,11 +163,7 @@ def _cmd_necklace(args) -> int:
     else:
         poly = necklace_poly(args.d)
         label = f"M_{args.d}"
-    if args.format == "json":
-        _emit(*_json_pieces({"d": args.d, "f": args.f, **_poly_payload(poly)}))
-    else:
-        _emit(f"{label} = ", poly.to_text())
-    return 0
+    return _emit_poly(args.format, {"d": args.d, "f": args.f}, label, poly)
 
 
 # -- cyclo-factors ----------------------------------------------------------
@@ -217,11 +219,7 @@ def _cmd_dynatomic(args) -> int:
         label = f"Phi_{{f,{args.d}}}"
     else:
         raise DomainError("need --d or --m/--n")
-    if args.format == "json":
-        _emit(*_json_pieces({"f": f.to_text(), **_poly_payload(poly)}))
-    else:
-        _emit(f"{label} = ", poly.to_text())
-    return 0
+    return _emit_poly(args.format, {"f": f.to_text()}, label, poly)
 
 
 # -- relation ---------------------------------------------------------------
@@ -248,10 +246,17 @@ def _cmd_relation(args) -> int:
     cert = build_relation_certificate(
         t, family=family, family_label=label, trials=args.trials,
         seed=args.seed, cap=cap, force=args.force)
+    # nothing is printed when a degree is past Python's int-to-str digit
+    # limit (none before 3.10.7, where the getter is missing)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and any(ev.cofactor_degree is not None
+                      and ev.cofactor_degree >= 10**digits
+                      for ev in cert.evidence):
+        raise ResourceLimitError(
+            f"cofactor degree of the ({t.c}, {t.d}) leg has more than "
+            f"{digits} digits, past Python's int-to-str limit")
     _write_certificate(cert.to_json_dict, args.out, args.format)
     if args.format == "text":
-        # rendered whole before writing: a cofactor degree past Python's
-        # int-to-str digit limit then fails with nothing on stdout
         cond = cert.conditions
         lines = [f"tuple (m, n, c, d) = ({t.m}, {t.n}, {t.c}, {t.d})",
                  f"  cond1 (m > c or n does not divide d): {cond.cond1}",
@@ -441,8 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (DomainError, ResourceLimitError, ExactDivisionError,
-            ValueError, OSError) as exc:
+    except (ResourceLimitError, ExactDivisionError, ValueError,
+            OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError:

@@ -193,19 +193,19 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     D is always built, and one pass over the iterates mod D, which checks
     its own gate, decides the leg if it can (see the module docstring): by
     N'' = Dn'' mod D, or by N'' / Dn'' mod D.  Otherwise Phi_{f,c,d} is
-    built and divided.  The cap (5000, or DYNLAB_DEGREE_CAP) bounds what
-    is built.  It is checked for D before anything is built, and for
-    Phi_{f,c,d} before the full construction, each time from a lower bound
-    of the degree first, so no degree far past the cap is formed.  A leg
-    with c >= m and n | d has factors that are 0 mod D; the pass replaces
-    them by G_k(lambda) mod D only when deg Phi_{f,c,d} is within the cap,
-    and past it leaves the leg to the full construction, which refuses it.
-    Each refusal is a ResourceLimitError.  Any other leg that the pass
-    decides builds only D and the iterates mod D up to f**(m+n-1), so it
-    may answer past the cap.
+    built and divided.  The cap (5000, or DYNLAB_DEGREE_CAP; ``degree_cap``
+    refuses one below 0) bounds what is built.  It is checked for D before
+    anything is built, and for Phi_{f,c,d} before the full construction,
+    each time from a lower bound of the degree first, so no degree far past
+    the cap is formed.  A leg with c >= m and n | d has factors that are 0
+    mod D; the pass replaces them by G_k(lambda) mod D only when
+    deg Phi_{f,c,d} is within the cap, and past it leaves the leg to the
+    full construction, which refuses it.  Each refusal is a
+    ResourceLimitError.  Any other leg that the pass decides builds only D
+    and the iterates mod D up to f**(m+n-1), so it may answer past the cap.
     """
     _require_dynamical(f)
-    cap = degree_cap() if cap is None else cap
+    cap = degree_cap(cap)
     k = f.degree
 
     def refuse_over_cap(pre: int, per: int) -> None:
@@ -366,6 +366,7 @@ def build_relation_certificate(t: RelationTuple, *,
     random leg draws monic integer polynomials of degree 2..4 from the
     recorded seed so certificates are reproducible.
     """
+    cap = degree_cap(cap)
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials}")
     conditions = relation_conditions(t)

@@ -73,8 +73,9 @@ def _power(mul, one, u, k: int):
 
 
 class CoefficientRing:
-    """The one arithmetic protocol: Polynomial, the division kernels and the
-    resultant's remainder sequence all call these methods.
+    """The one arithmetic protocol, which Polynomial, the division kernels
+    and the resultant's remainder sequence call: every ring defines zero,
+    one, coerce, add, neg, mul, exact_div and format, and may override pow.
 
     The truth test is the protocol's only zero test: in every ring an
     element is falsy exactly when it is zero, and every loop skips with it.
@@ -83,31 +84,9 @@ class CoefficientRing:
     characteristic: int = 0
     tag: str = "?"
 
-    #: additive and multiplicative identities as ring elements
-    zero = None
-    one = None
-
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def add(self, u, v):
-        raise NotImplementedError
-
-    def mul(self, u, v):
-        raise NotImplementedError
-
-    def neg(self, u):
-        raise NotImplementedError
-
-    def exact_div(self, u, v):
-        raise NotImplementedError
-
     def pow(self, u, k: int):
         """u**k for an int k >= 0, by square-and-multiply on ``mul``."""
         return _power(self.mul, self.one, u, k)
-
-    def format(self, u) -> str:
-        raise NotImplementedError
 
 
 class Rationals(CoefficientRing):
@@ -409,9 +388,6 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("polynomial exponent must be a nonnegative int")
-        if self.coeffs and self.x_valuation == self.degree:
-            return Polynomial.monomial(self.ring, self.degree * k,
-                                       self.ring.pow(self.lc, k))
         return _power(operator.mul, Polynomial.one(self.ring), self, k)
 
     def scale(self, c) -> "Polynomial":
@@ -633,16 +609,11 @@ def _pack(cs: Sequence[int], w: int) -> int:
     return packed
 
 
-def _unpack(value: int, w: int, n: int | None = None) -> list[int]:
+def _unpack(value: int, w: int, n: int) -> list[int]:
     """The n slots s[k] in [-2**(8w-1), 2**(8w-1)) of value = sum(s[k] *
     2**(8*w*k)), read signed from n + 1 slots of value's bytes (n slots of
     -2**(8w-1) overflow n), each plus 1 if the one below read negative or
-    came to 2**(8w-1), then -2**(8w-1).  Without n, the slots up to the last
-    nonzero one; n' of them put |value| in (2**(8w(n'-1)-2), 2**(8wn')), so
-    the n sized from bit_length is n' or n' + 1."""
-    strip = n is None
-    if strip:
-        n = (value.bit_length() + 1) // (8 * w) + 1
+    came to 2**(8w-1), then -2**(8w-1)."""
     buf = value.to_bytes(n * w + w, "little", signed=True)
     half, read = 1 << (8 * w - 1), int.from_bytes
     out = [read(buf[k:k + w], "little", signed=True) + (k and buf[k - 1] >> 7)
@@ -651,7 +622,7 @@ def _unpack(value: int, w: int, n: int | None = None) -> list[int]:
         if out[k] == half:
             out[k], out[k + 1] = -half, out[k + 1] + 1
     out.pop()  # slot n: 0 for every value that n slots hold
-    return out[:-1] if strip and not out[-1] else out
+    return out
 
 
 def _clear_denominators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -765,8 +736,9 @@ def _divmod_qa(num: tuple, den: tuple) -> tuple[tuple, tuple]:
     while True:
         quot, rem = _divmod_ints((_pack(c, w) if c else 0 for c in ints),
                                  [_pack(c, w) if c else 0 for c in dints])
-        quot = [_unpack(v, w) for v in quot]
-        rem = [_unpack(v, w) for v in rem]
+        # n' slots put |v| in (2**(8w(n'-1)-2), 2**(8wn')): count n' or n'+1
+        quot, rem = ([_unpack(v, w, (v.bit_length() + 1) // (8 * w) + 1)
+                      for v in vs] for vs in (quot, rem))
         max_q = max((abs(v) for c in quot for v in c), default=0)
         max_r = max((abs(v) for c in rem for v in c), default=0)
         if max_q * norm_d + max_r + max_n < 1 << (8 * w):

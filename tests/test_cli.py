@@ -490,6 +490,25 @@ class TestErrorHandling:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit in this Python")
+    def test_unprintable_cofactor_degree_names_the_leg(self, capsys,
+                                                       tmp_path):
+        # the pass decides the leg without building Phi_{1,20000}, whose
+        # degree has about 9500 digits
+        path = tmp_path / "cert.json"
+        code = main(["relation", "--m", "2", "--n", "1", "--c", "1",
+                     "--d", "20000", "--force", "--trials", "0",
+                     "--family", "x^3+a", "--out", str(path)])
+        captured = capsys.readouterr()
+        digits = sys.get_int_max_str_digits()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cofactor degree of the (1, 20000) leg has more than "
+            f"{digits} digits, past Python's int-to-str limit\n")
+        assert not path.exists()
+
     @pytest.mark.parametrize("argv", [
         ["necklace", "--d", "1000000000000"],
         ["cyclo-factors", "--necklace", "1000000000000"],

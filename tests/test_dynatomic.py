@@ -561,6 +561,12 @@ REFUSALS = [
                  DomainError, "checked over Q", id="fixed_point-F7"),
     pytest.param(lambda: fixed_point_identity(F_SQUARE, 1, 1),
                  DomainError, "needs d >= 2", id="fixed_point-d1"),
+    pytest.param(lambda: verify_relation(RelationTuple(1, 1, 0, 2), F_SQ1,
+                                         cap=-3),
+                 DomainError, "must be >= 0, got -3", id="verify-cap-3"),
+    pytest.param(lambda: build_relation_certificate(
+                     RelationTuple(1, 1, 0, 2), family=F_SQ1, cap=-3),
+                 DomainError, "must be >= 0, got -3", id="certificate-cap-3"),
     *(pytest.param(lambda value=value: _degree_cap_from(value),
                    DomainError, "DYNLAB_DEGREE_CAP must be an integer",
                    id=f"degree_cap-{name}")
