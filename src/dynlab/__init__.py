@@ -13,13 +13,13 @@ from types import ModuleType as _Module
 from .errors import DomainError, ExactDivisionError, ResourceLimitError
 from .numtheory import (Factorization, core_and_cocore, divisors, euler_phi,
                         factorize, is_prime, mobius, squarefree_divisors)
-from .polycore import (QA, QQ, CoefficientRing, ParamRing, Polynomial,
-                       PrimeField, Rationals, parse_polynomial, resultant)
+from .polycore import (QA, QQ, Polynomial, PrimeField, parse_polynomial,
+                       resultant)
 from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
 from .cyclotomic import (CycloFactorReport, cyclo_factor_scan,
                          cyclotomic_candidates, cyclotomic_poly)
-from .characters import (Character, CoverCertificate, UnitGroup, characters,
-                         covers, equivalence_sweep, unit_group)
+from .characters import (Character, CoverCertificate, UnitGroup, covers,
+                         equivalence_sweep, unit_group)
 from .dynatomic import (ConditionReport, DivisibilityEvidence,
                         RelationCertificate, RelationTuple,
                         build_relation_certificate, dynatomic_degree,

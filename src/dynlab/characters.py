@@ -69,7 +69,7 @@ class UnitGroup(NamedTuple):
 
     Generator orders are prime powers; their product is phi(n).  ``dlog``
     maps every unit residue to its exponent vector over the generators, in
-    the order of ``itertools.product`` over the orders (``characters()``).
+    the order of ``itertools.product`` over the orders.
     """
 
     modulus: int
@@ -202,13 +202,6 @@ def unit_group(n: int) -> UnitGroup:
                      exponent=exponent)
 
 
-def characters(group: UnitGroup) -> Iterator[Character]:
-    """All phi(n) characters, in lexicographic exponent order (that of
-    the dlog table's vectors)."""
-    for exps in group.dlog.values():
-        yield Character(group, exps)
-
-
 class CoverCertificate(NamedTuple):
     """Re-checkable record of a hyperplane-cover decision.
 
@@ -229,7 +222,7 @@ class CoverCertificate(NamedTuple):
     def lazy_json_dict(self) -> dict:
         """The certificate's JSON object, with tuples for arrays and the
         witness entries as a one-pass iterator, so that a writer can render
-        them one at a time (``json.dumps`` needs ``to_json_dict``)."""
+        them one at a time."""
         return {
             "d": str(self.d),
             "n": self.n,
@@ -238,19 +231,6 @@ class CoverCertificate(NamedTuple):
             "witnesses": ({"chi": chi, "p": p} for chi, p in self.witnesses),
             "failing_character": self.failing_character,
         }
-
-    def to_json_dict(self) -> dict:
-        """``lazy_json_dict`` with every array a list."""
-        return _as_lists(self.lazy_json_dict())
-
-
-def _as_lists(value):
-    """value with each tuple or iterator in it, at any depth, made a list."""
-    if isinstance(value, dict):
-        return {key: _as_lists(item) for key, item in value.items()}
-    if value is None or isinstance(value, (str, int)):
-        return value
-    return [_as_lists(item) for item in value]
 
 
 def _entangled_hyperplanes(d: int, n: int) -> tuple[list[int], set[int]]:
@@ -277,8 +257,8 @@ def _entangled_hyperplanes(d: int, n: int) -> tuple[list[int], set[int]]:
 def _angle_table(group: UnitGroup, q: int) -> list[int]:
     """Flat table of the angle numerators of chi(q) over all characters.
 
-    The order is that of ``characters()``: one list comprehension per
-    generator, the last generator varying fastest as in ``itertools.product``.
+    The order is the ``itertools.product`` order of ``UnitGroup.dlog``: one
+    list comprehension per generator, the last generator varying fastest.
     """
     L = group.exponent
     table = [0]
@@ -301,7 +281,7 @@ def covers(d: int, n: int) -> CoverCertificate:
     ``covered`` verdict always matches ``fast_xn1_divides(d, n)``; the
     certificate carries one witness (or None) per character and is
     independently re-checkable.  Its exponent vectors are the dlog table's
-    own tuples, which ``unit_group`` lists in ``characters()`` order.
+    own tuples, in the ``itertools.product`` order of ``UnitGroup.dlog``.
     """
     if d < 1 or n < 1:
         raise DomainError("covers needs d, n >= 1")
@@ -311,7 +291,7 @@ def covers(d: int, n: int) -> CoverCertificate:
     for p in reversed(usable):  # so that the first usable prime wins
         found = [p if a == 0 else w
                  for a, w in zip(_angle_table(group, p), found)]
-    vectors = group.dlog.values()  # in characters() order, shared
+    vectors = group.dlog.values()  # in itertools.product order, shared
     failing: tuple[int, ...] | None = None
     if None in found:
         lifts, moduli = _entangled_hyperplanes(d, n)

@@ -186,7 +186,7 @@ def _cmd_cyclo_factors(args) -> int:
         scans.append(("poly", args.poly, parse_polynomial(args.poly, QQ)))
     if necklace is not None:
         scans.append(("necklace", f"{necklace}*M_{necklace}",
-                      necklace_poly(necklace).scale(necklace)))
+                      necklace_poly(necklace) * necklace))
     if shifted is not None:
         scans.append(("shifted_cyclotomic", f"Phi_{shifted} - 1",
                       cyclotomic_poly(shifted) - 1))
@@ -232,6 +232,8 @@ def _parse_specialize(text: str) -> Fraction:
 
 
 def _cmd_relation(args) -> int:
+    if args.degree_max is not None and args.degree_max < 0:
+        raise DomainError(f"--degree-max must be >= 0, got {args.degree_max}")
     cap = degree_cap(args.degree_max)
     t = RelationTuple(m=args.m, n=args.n, c=args.c, d=args.d)
     family = parse_polynomial(args.family)

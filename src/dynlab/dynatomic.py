@@ -322,7 +322,7 @@ def _inverse_mod(u: Polynomial, modulus: Polynomial) -> Polynomial | None:
         s0, s1 = s1, s0 - q * s1
     if r0.degree:
         return None
-    return s0.scale(ring.exact_div(ring.one, r0.lc)) % modulus
+    return s0 * ring.exact_div(ring.one, r0.lc) % modulus
 
 
 class RelationCertificate(NamedTuple):

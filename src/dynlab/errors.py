@@ -43,11 +43,10 @@ _ascii_int.__name__ = "int"  # argparse names the type in its refusal
 
 
 def degree_cap(cap: int | None = None) -> int:
-    """The largest degree a construction may build: ``cap`` (the CLI's
-    --degree-max) when given, else DYNLAB_DEGREE_CAP, else
-    DEFAULT_DEGREE_CAP.  A negative cap, or an environment value that is
-    not ASCII digits, is refused."""
-    name = "--degree-max"
+    """The largest degree a construction may build: ``cap`` when given,
+    else DYNLAB_DEGREE_CAP, else DEFAULT_DEGREE_CAP.  A negative cap, or an
+    environment value that is not ASCII digits, is refused."""
+    name = "cap"
     if cap is None:
         name = DEGREE_CAP_ENV
         try:

@@ -63,5 +63,5 @@ def dynamical_necklace(f: Polynomial, d: int) -> Polynomial:
     iterates = _iterates(f, {d // e for e, _ in pairs})
     acc = Polynomial.zero(ring)
     for e, mu in pairs:
-        acc = acc + iterates[d // e].scale(mu)
-    return acc.scale(ring.exact_div(ring.one, ring.coerce(d)))
+        acc = acc + iterates[d // e] * mu
+    return acc * ring.exact_div(ring.one, ring.coerce(d))

@@ -1,8 +1,8 @@
-"""Exact dense univariate polynomial arithmetic over pluggable coefficient rings.
+"""Exact dense univariate polynomial arithmetic over three coefficient rings.
 
 Polynomials in ``x`` are coefficient sequences in ascending degree with a
 nonzero leading coefficient (the zero polynomial is the empty sequence).
-Three coefficient rings are supported:
+The coefficient ring is one of three, and the kernels dispatch on which:
 
 * ``QQ`` -- the rationals, elements are ``fractions.Fraction``;
 * ``PrimeField(p)`` -- integers modulo a prime, elements are ints in [0, p);
@@ -76,6 +76,8 @@ class CoefficientRing:
     """The one arithmetic protocol, which Polynomial, the division kernels
     and the resultant's remainder sequence call: every ring defines zero,
     one, coerce, add, neg, mul, exact_div and format, and may override pow.
+    The protocol is closed: its rings are ``QQ``, ``QA``, ``PrimeField(p)``
+    and the private Z ring, and no other ring can be plugged in.
 
     The truth test is the protocol's only zero test: in every ring an
     element is falsy exactly when it is zero, and every loop skips with it.
@@ -89,7 +91,7 @@ class CoefficientRing:
         return _power(self.mul, self.one, u, k)
 
 
-class Rationals(CoefficientRing):
+class _Rationals(CoefficientRing):
     tag = "Q"
 
     zero = Fraction(0)
@@ -127,7 +129,7 @@ class Rationals(CoefficientRing):
         return "QQ"
 
 
-class _Integers(Rationals):
+class _Integers(_Rationals):
     """Z on plain ints: the Q resultant's remainder sequence, once each
     operand's denominators are cleared, runs here.  Q's add, mul and neg
     serve ints unchanged; only the checked division and the power differ.
@@ -189,9 +191,6 @@ class PrimeField(CoefficientRing):
     def exact_div(self, u, v):
         return u * pow(v, -1, self.p) % self.p
 
-    def pow(self, u, k: int):
-        return pow(u, k, self.p)
-
     def format(self, u) -> str:
         return str(u % self.p)
 
@@ -205,7 +204,7 @@ class PrimeField(CoefficientRing):
         return f"PrimeField({self.p})"
 
 
-class ParamRing(CoefficientRing):
+class _ParamRing(CoefficientRing):
     """Q[a]: polynomials in the parameter ``a`` with rational coefficients.
 
     An element is a Q coefficient vector in ``a``, so multiplication and
@@ -264,8 +263,8 @@ class ParamRing(CoefficientRing):
         return "QA"
 
 
-QQ = Rationals()
-QA = ParamRing()
+QQ = _Rationals()
+QA = _ParamRing()
 _ZZ = _Integers()
 
 
@@ -302,11 +301,6 @@ class Polynomial:
     @classmethod
     def constant(cls, ring: CoefficientRing, c) -> "Polynomial":
         return cls(ring, (c,))
-
-    @classmethod
-    def monomial(cls, ring: CoefficientRing, degree: int, c=1) -> "Polynomial":
-        cs = (ring.zero,) * degree + (ring.coerce(c),)
-        return _raw(ring, _strip(cs))
 
     # -- structure
 
@@ -390,9 +384,6 @@ class Polynomial:
             raise DomainError("polynomial exponent must be a nonnegative int")
         return _power(operator.mul, Polynomial.one(self.ring), self, k)
 
-    def scale(self, c) -> "Polynomial":
-        return self * c
-
     def _coerce_operand(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
@@ -434,7 +425,7 @@ class Polynomial:
     def specialize(self, value) -> "Polynomial":
         """Substitute a rational value for the parameter a (Q[a] -> Q)."""
         if self.ring is not QA:
-            raise DomainError("specialize() applies to ParamRing polynomials")
+            raise DomainError("specialize() applies to polynomials over QA")
         v = QQ.coerce(value)
         return Polynomial(QQ, [_raw(QQ, c).evaluate(v) for c in self.coeffs])
 

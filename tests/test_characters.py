@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,8 @@ from conftest import (dense_fold_divisible, dense_necklace_int_coeffs,
                       hyperplane_forms, is_trivial)
 from dynlab.characters import (Character, CoverCertificate,
                                _entangled_hyperplanes, _primitive_root_mod_pk,
-                               characters, covers, equivalence_sweep,
-                               unit_group)
+                               covers, equivalence_sweep, unit_group)
+from dynlab.cli import _json_pieces
 from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.errors import DomainError, ResourceLimitError
 from dynlab.necklace import fast_xn1_divides
@@ -83,7 +84,6 @@ class TestUnitGroup:
             unit_group(10).dlog_of(5)
 
     def test_phi_cap(self):
-        import dynlab.characters as chars
         with pytest.raises(ResourceLimitError):
             # smallest prime above the cap; phi(p) = p - 1 > 10**6
             unit_group(1_000_003)
@@ -92,7 +92,7 @@ class TestUnitGroup:
 class TestCharacters:
     def test_count_and_order(self):
         group = unit_group(36)
-        chars = list(characters(group))
+        chars = [Character(group, e) for e in group.dlog.values()]
         assert len(chars) == euler_phi(36)
         assert is_trivial(chars[0])
 
@@ -104,8 +104,8 @@ class TestCharacters:
 
     def test_identity_element_always_one(self):
         group = unit_group(65)
-        for chi in characters(group):
-            assert chi.value_is_one(66)
+        for exponents in group.dlog.values():
+            assert Character(group, exponents).value_is_one(66)
 
     def test_mod5_generator(self):
         group = unit_group(5)
@@ -117,7 +117,8 @@ class TestCharacters:
         group = unit_group(35)
         rng = random.Random(6)
         units = list(group.dlog)
-        for chi in list(characters(group))[:12]:
+        for exponents in itertools.islice(group.dlog.values(), 12):
+            chi = Character(group, exponents)
             for _ in range(20):
                 u, v = rng.choice(units), rng.choice(units)
                 lhs = chi.angle(u * v % 35)
@@ -140,8 +141,8 @@ class TestCharacters:
                 while acc != 1 % n:
                     acc = acc * q % n
                     order += 1
-                count = sum(1 for chi in characters(group)
-                            if chi.value_is_one(q))
+                count = sum(1 for e in group.dlog.values()
+                            if Character(group, e).value_is_one(q))
                 assert count * order == group.order, (n, q)
 
 
@@ -234,8 +235,8 @@ class TestCovers:
         assert combo == forms[229]
         # each form really cuts out the hyperplane
         for p, form in forms.items():
-            chi_members = sum(1 for chi in characters(group)
-                              if chi.value_is_one(p))
+            chi_members = sum(1 for e in group.dlog.values()
+                              if Character(group, e).value_is_one(p))
             assert form == group.dlog_of(p)
             assert chi_members >= 1
 
@@ -245,7 +246,8 @@ class TestCovers:
         assert all(chi is v for (chi, _), v in zip(cert.witnesses, vectors))
 
     def test_certificate_json_schema(self):
-        data = covers(3, 2).to_json_dict()
+        # the bytes the CLI writes for the certificate, read back
+        data = json.loads("".join(_json_pieces(covers(3, 2).lazy_json_dict())))
         assert data == {
             "d": "3",
             "n": 2,
@@ -319,7 +321,8 @@ def _covers_by_character_loop(d, n):
                for g in strata}
     witnesses = []
     failing = None
-    for chi in characters(group):
+    for exponents in group.dlog.values():
+        chi = Character(group, exponents)
         witness = next((p for p in usable if chi.value_is_one(p)), None)
         witnesses.append((chi.exponents, witness))
         if witness is not None or failing is not None:
@@ -352,9 +355,7 @@ class TestCoversAgainstCharacterLoop:
     def test_every_pair_up_to_60(self):
         for d in range(1, 61):
             for n in range(1, 61):
-                assert (covers(d, n).to_json_dict()
-                        == _covers_by_character_loop(d, n).to_json_dict()), (
-                    d, n)
+                assert covers(d, n) == _covers_by_character_loop(d, n), (d, n)
 
     def test_seeded_large_pairs(self):
         rng = random.Random(41)
@@ -376,8 +377,7 @@ class TestCoversAgainstCharacterLoop:
             cert = covers(d, n)
             verdicts.add(cert.covered)
             assert cert.covered == fast_xn1_divides(d, n), (d, n)
-            assert (cert.to_json_dict()
-                    == _covers_by_character_loop(d, n).to_json_dict()), (d, n)
+            assert cert == _covers_by_character_loop(d, n), (d, n)
         assert verdicts == {True, False}
 
 
@@ -409,7 +409,8 @@ def test_strata_test_cancels_a_nonzero_sum():
     Phi_L finds a stratum sum that vanishes with nonzero coefficients."""
     group = unit_group(7)
     thirds = {Fraction(k, 3) for k in range(3)}
-    chi = next(c for c in characters(group)
+    chi = next(c for c in map(Character, itertools.repeat(group),
+                              group.dlog.values())
                if {c.angle(u) for u in range(1, 7)} == thirds)
     reps = {}
     for u in range(1, 7):

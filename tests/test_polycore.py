@@ -34,7 +34,7 @@ class TestRingArithmetic:
         assert (X - 1) * (X + 1) == X**2 - 1
 
     def test_scale_produces_necklace_shape(self):
-        m6 = (X**6 - X**3 - X**2 + X).scale(Fraction(1, 6))
+        m6 = (X**6 - X**3 - X**2 + X) * Fraction(1, 6)
         assert m6.coeffs == (Fraction(0), Fraction(1, 6), Fraction(-1, 6),
                              Fraction(-1, 6), Fraction(0), Fraction(0),
                              Fraction(1, 6))
@@ -71,16 +71,16 @@ class TestMonomialPower:
     def test_one_term_power_matches_repeated_product(self, ring):
         for c in self.COEFFS[ring.tag]:
             for degree in (0, 1, 3):
-                p = Polynomial.monomial(ring, degree, c)
+                p = c * Polynomial.x(ring)**degree
                 for k in (0, 1, 2, 5, 12):
                     assert p**k == repeated_product(p, k), (c, degree, k)
 
     def test_monomial_canonical_form(self):
-        assert Polynomial.monomial(QQ, 3, 0).is_zero
-        assert Polynomial.monomial(QA, 2, ()).is_zero
-        assert Polynomial.monomial(PrimeField(5), 2, 10).is_zero
+        assert (0 * X**3).is_zero
+        assert (() * Polynomial.x(QA)**2).is_zero
+        assert (10 * Polynomial.x(PrimeField(5))**2).is_zero
         for ring in self.RINGS:
-            m = Polynomial.monomial(ring, 4, 2)
+            m = 2 * Polynomial.x(ring)**4
             assert m == Polynomial(ring, [0, 0, 0, 0, 2])
 
     def test_addition_with_zero_entries(self):
@@ -97,7 +97,7 @@ class TestEvaluationAndComposition:
     def test_evaluate_examples(self):
         assert (X**2 + X - 5).evaluate(3) == 7
         assert (X**7 + 42).evaluate(0) == 42
-        m6 = (X**6 - X**3 - X**2 + X).scale(Fraction(1, 6))
+        m6 = (X**6 - X**3 - X**2 + X) * Fraction(1, 6)
         assert m6.evaluate(1) == 0
 
     def test_compose_examples(self):
@@ -277,7 +277,7 @@ class TestTextAndJson:
     def test_parse_examples(self):
         assert parse_polynomial("x^2 + x - 5") == X**2 + X - 5
         assert parse_polynomial("1/6*x^6 - 1/6*x^3") == \
-            (X**6 - X**3).scale(Fraction(1, 6))
+            (X**6 - X**3) * Fraction(1, 6)
         assert parse_polynomial("(x - 1)*(x + 1)") == X**2 - 1
         fa = parse_polynomial("x^2+a")
         assert fa.ring is QA

@@ -341,7 +341,7 @@ def test_scan_filter_roots_have_exact_order(poly):
         assert is_prime(q) and (q - 1) % k == 0
         assert pow(w, k, q) == 1
         assert all(pow(w, k // p, q) != 1 for p in factorize(k).primes)
-    rebuilt = Polynomial.monomial(QQ, report.x_multiplicity) * report.cofactor
+    rebuilt = Polynomial.x(QQ)**report.x_multiplicity * report.cofactor
     for k, mult in report.cyclo_indices:
         rebuilt = rebuilt * cyclotomic.cyclotomic_poly(k)**mult
     assert rebuilt == poly
