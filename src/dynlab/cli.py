@@ -22,8 +22,9 @@ from typing import Iterable, Iterator
 
 from .characters import covers
 from .cyclotomic import cyclo_factor_scan, cyclotomic_poly
-from .dynatomic import (RelationTuple, build_relation_certificate,
-                        dynatomic_poly, generalized_dynatomic)
+from .dynatomic import (RelationTuple, _refuse_over_cap_dynatomic,
+                        build_relation_certificate, dynatomic_poly,
+                        generalized_dynatomic)
 from .errors import (DomainError, ExactDivisionError, ResourceLimitError,
                      _ascii_int, degree_cap)
 from .necklace import dynamical_necklace, fast_xn1_divides, necklace_poly
@@ -212,13 +213,16 @@ def _cmd_dynatomic(args) -> int:
             raise DomainError("--m and --n go together")
         if args.d is not None:
             raise DomainError("--d does not go with --m/--n")
-        poly = generalized_dynatomic(f, args.m, args.n)
-        label = f"Phi_{{f,{args.m},{args.n}}}"
+        m, n, label = args.m, args.n, f"Phi_{{f,{args.m},{args.n}}}"
     elif args.d is not None:
-        poly = dynatomic_poly(f, args.d)
-        label = f"Phi_{{f,{args.d}}}"
+        m, n, label = 0, args.d, f"Phi_{{f,{args.d}}}"
     else:
         raise DomainError("need --d or --m/--n")
+    # the builders refuse deg(f) < 2 and m < 0 or n < 1 with their messages
+    if f.degree >= 2 and m >= 0 and n >= 1:
+        _refuse_over_cap_dynatomic(f.degree, m, n, degree_cap())
+    poly = (dynatomic_poly(f, n) if args.d is not None
+            else generalized_dynatomic(f, m, n))
     return _emit_poly(args.format, {"f": f.to_text()}, label, poly)
 
 

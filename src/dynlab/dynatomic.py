@@ -72,6 +72,15 @@ def _require_dynamical(f: Polynomial) -> None:
         raise DomainError("dynatomic constructions need deg(f) >= 2")
 
 
+def _refuse_over_cap_dynatomic(k: int, m: int, n: int, cap: int) -> None:
+    """Refuse Phi_{f,m,n} for f of degree k >= 2, m >= 0 and n >= 1 when its
+    degree is over cap.  sum mu(e) * k**(n/e) >= k**(n-1), so the degree is
+    at least 2**(m+n-2), and the refusal never builds a degree far past cap.
+    """
+    _refuse_over_cap(cap, f"the ({m}, {n}) dynatomic", m + n - 2,
+                     lambda: generalized_dynatomic_degree(k, m, n))
+
+
 def dynatomic_poly(f: Polynomial, d: int) -> Polynomial:
     """Product over e | d of (f**(d/e)(x) - x) ** mobius(e), exactly.
 
@@ -207,14 +216,7 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     _require_dynamical(f)
     cap = degree_cap(cap)
     k = f.degree
-
-    def refuse_over_cap(pre: int, per: int) -> None:
-        # sum mu(e) * k**(per/e) >= k**(per-1), so the degree is at least
-        # 2**(pre+per-2), and the refusal never builds a degree far past cap
-        _refuse_over_cap(cap, f"the ({pre}, {per}) dynatomic", pre + per - 2,
-                         lambda: generalized_dynatomic_degree(k, pre, per))
-
-    refuse_over_cap(t.m, t.n)
+    _refuse_over_cap_dynatomic(k, t.m, t.n, cap)
     divisor = generalized_dynatomic(f, t.m, t.n)
     # the pass compares top only with deg D, (deg D)**2 and cap
     limit = max(cap, divisor.degree ** 2)
@@ -223,7 +225,7 @@ def verify_relation(t: RelationTuple, f: Polynomial, *,
     rem = _quotient_remainder(t, f, divisor,
                               limit + 1 if top is None else top, cap)
     if rem is None:
-        refuse_over_cap(t.c, t.d)
+        _refuse_over_cap_dynatomic(k, t.c, t.d, cap)
         rem = (generalized_dynatomic(f, t.c, t.d) - 1) % divisor
     return DivisibilityEvidence(
         family=family if family is not None else f.to_text(),

@@ -2,7 +2,8 @@
 
 Polynomials in ``x`` are coefficient sequences in ascending degree with a
 nonzero leading coefficient (the zero polynomial is the empty sequence).
-The coefficient ring is one of three, and the kernels dispatch on which:
+The coefficient ring is one of three, each with its own product and
+division kernels, the ring's ``_product`` and ``_divmod``:
 
 * ``QQ`` -- the rationals, elements are ``fractions.Fraction``;
 * ``PrimeField(p)`` -- integers modulo a prime, elements are ints in [0, p);
@@ -21,25 +22,24 @@ polynomial arithmetic and the subresultant remainder sequence behind
 clearing denominators.  Its only zero test is the truth test: a ring
 element is falsy exactly when it is zero.
 
-Polynomial products in every ring run on one integer kernel, ``_convolve``.
-It multiplies by Kronecker substitution: each signed integer operand is
-packed into fixed-width byte slots of one big int, the two ints are
-multiplied once, and the slots are read back.  When the shorter operand has
-fewer than ``_SCHOOLBOOK_TERMS`` nonzero terms, a zero-skipping schoolbook
-loop runs instead, since packing costs more than a few big-int products.
-Over Q the kernel sees the numerators over a common denominator; over F_p
-the residues themselves, reduced after the product; over Q[a] both operands
-are cleared to integers and flattened, x-degree i and a-degree j going to
-slot ``i*width + j``, so that one integer product gives the whole result.
-Division has one integer loop, ``_divmod_ints``, over the nonzero terms of
-the divisor below its lead: over F_p, with one inverse of the lead, over
+Every ``_product`` runs on one integer kernel, ``_convolve``.  It multiplies
+by Kronecker substitution: each signed integer operand is packed into
+fixed-width byte slots of one big int, the two ints are multiplied once,
+and the slots are read back.  When the shorter operand has fewer than
+``_SCHOOLBOOK_TERMS`` nonzero terms, a zero-skipping schoolbook loop runs
+instead, since packing costs more than a few big-int products.  Over Q the
+kernel sees the numerators over a common denominator; over F_p the residues
+themselves, reduced after the product; over Q[a] both operands are cleared
+to integers and flattened, x-degree i and a-degree j going to slot
+``i*width + j``, so that one integer product gives the whole result.  Every
+``_divmod`` has one integer loop, ``_divmod_ints``, over the nonzero terms
+of the divisor below its lead: over F_p, with one inverse of the lead, over
 Q for a monic integer divisor, with the numerator's denominators cleared
 once, and over Q[a] for a divisor monic over Z[a], with each cleared Z[a]
 coefficient packed into one int at a = 2**(8w) and a bound on the slots
-proving the unpacked result (``_divmod_qa``).  Everything else, and the
-pseudo-remainders of the resultant's remainder sequence, runs the generic
-ring loop; the private integer ring is Q's arithmetic on ints with a
-checked exact division.
+proving the unpacked result.  Everything else, and the pseudo-remainders of
+the resultant's remainder sequence, runs the generic ring loop; the private
+integer ring is Q's arithmetic on ints with a checked exact division.
 
 All arithmetic is exact; floating point appears nowhere.  Exact division
 failures carry the offending remainder because a nonzero remainder is
@@ -73,11 +73,11 @@ def _power(mul, one, u, k: int):
 
 
 class CoefficientRing:
-    """The one arithmetic protocol, which Polynomial, the division kernels
-    and the resultant's remainder sequence call: every ring defines zero,
-    one, coerce, add, neg, mul, exact_div and format, and may override pow.
-    The protocol is closed: its rings are ``QQ``, ``QA``, ``PrimeField(p)``
-    and the private Z ring, and no other ring can be plugged in.
+    """The one arithmetic protocol: every ring defines zero, one, coerce,
+    add, neg, mul, exact_div, format and Polynomial's two kernels on
+    coefficient tuples, ``_product(a, b)`` and ``_divmod(num, den)``, and
+    may override pow.  The protocol is closed: its rings are ``QQ``, ``QA``,
+    ``PrimeField(p)`` and the private Z ring, which inherits Q's kernels.
 
     The truth test is the protocol's only zero test: in every ring an
     element is falsy exactly when it is zero, and every loop skips with it.
@@ -124,6 +124,21 @@ class _Rationals(CoefficientRing):
 
     def format(self, u) -> str:
         return str(u)
+
+    def _product(self, a: tuple, b: tuple) -> tuple:
+        ia, da = _clear_denominators(a)
+        ib, db = (ia, da) if b is a else _clear_denominators(b)
+        return _to_fractions(_convolve(ia, ib), da * db)
+
+    def _divmod(self, num: tuple, den: tuple) -> tuple[tuple, tuple]:
+        # A monic integer divisor keeps the loop in Z.  The cleared numerator
+        # goes in as a generator, so no list holds its ints while the loop runs.
+        if den[-1] == 1 and all(c.denominator == 1 for c in den):
+            scale = math.lcm(*(c.denominator for c in num))
+            ints = (c.numerator * (scale // c.denominator) for c in num)
+            quot, rem = _divmod_ints(ints, [int(c) for c in den])
+            return _to_fractions(quot, scale), _to_fractions(rem, scale)
+        return _divmod_generic(self, num, den)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -194,6 +209,12 @@ class PrimeField(CoefficientRing):
     def format(self, u) -> str:
         return str(u % self.p)
 
+    def _product(self, a: tuple, b: tuple) -> tuple:
+        return _strip([c % self.p for c in _convolve(a, b)])
+
+    def _divmod(self, num: tuple, den: tuple) -> tuple[tuple, tuple]:
+        return _divmod_ints(num, den, self.p)
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -208,7 +229,7 @@ class _ParamRing(CoefficientRing):
     """Q[a]: polynomials in the parameter ``a`` with rational coefficients.
 
     An element is a Q coefficient vector in ``a``, so multiplication and
-    division reuse the Q kernels below.
+    division of elements reuse ``QQ``'s kernels.
     """
 
     tag = "Qa"
@@ -246,7 +267,7 @@ class _ParamRing(CoefficientRing):
     def exact_div(self, u, v):
         if not v:
             raise ZeroDivisionError("division by the zero element of Q[a]")
-        q, r = _divmod_q(u, v)
+        q, r = QQ._divmod(u, v)
         if r:
             raise ExactDivisionError("inexact coefficient division in Q[a]")
         return q
@@ -258,6 +279,54 @@ class _ParamRing(CoefficientRing):
 
     def format(self, u) -> str:
         return _format_terms(u, "a", str)
+
+    def _product(self, a: tuple, b: tuple) -> tuple:
+        # Products of a-degrees stay below width, so each x-degree of the flat
+        # product keeps its own block.
+        width = max(map(len, a)) + max(map(len, b)) - 1
+        fa, da = _flatten(a, width)
+        fb, db = (fa, da) if b is a else _flatten(b, width)
+        flat = _convolve(fa, fb)
+        out = [()] * (len(a) + len(b) - 1)
+        for k in {s - s % width for s, c in enumerate(flat) if c}:
+            out[k // width] = _to_fractions(flat[k:k + width], da * db)
+        return tuple(out)
+
+    def _divmod(self, num: tuple, den: tuple) -> tuple[tuple, tuple]:
+        """Q[a] division; a divisor D monic in x over Z[a] runs on packed ints.
+
+        N, cleared to Z[a] once, and D are packed at a = 2**(8w), a ring map to
+        Z under which D stays monic, so _divmod_ints gives the images of the
+        quotient Q and remainder R, and their slots give Q' and R'.  Every
+        a-coefficient of E = Q'*D + R' - N is at most max|Q'| * |D|_1 + max|R'|
+        + max|N| in size.  When that is below 2**(8w), E = 0, since E vanishes
+        at a = 2**(8w) and the lowest nonzero coefficient of such a polynomial
+        is a multiple of 2**(8w).  Division by a monic D is unique, so Q' = Q
+        and R' = R; otherwise w doubles.  Other divisors take the ring loop.
+        """
+        if den[-1] != self.one or any(f.denominator != 1
+                                      for c in den for f in c):
+            return _divmod_generic(self, num, den)
+        scale = math.lcm(*(f.denominator for c in num for f in c))
+        ints = [[f.numerator * (scale // f.denominator) for f in c]
+                for c in num]
+        dints = [[f.numerator for f in c] for c in den]
+        max_n = max((abs(v) for c in ints for v in c), default=0)
+        norm_d = sum(abs(v) for c in dints for v in c)
+        w = (max(max_n, 1) * norm_d).bit_length() // 8 + 1
+        while True:
+            quot, rem = _divmod_ints((_pack(c, w) if c else 0 for c in ints),
+                                     [_pack(c, w) if c else 0 for c in dints])
+            # n' slots put |v| in (2**(8w(n'-1)-2), 2**(8wn')): n' or n'+1
+            quot, rem = ([_unpack(v, w, (v.bit_length() + 1) // (8 * w) + 1)
+                          for v in vs] for vs in (quot, rem))
+            max_q = max((abs(v) for c in quot for v in c), default=0)
+            max_r = max((abs(v) for c in rem for v in c), default=0)
+            if max_q * norm_d + max_r + max_n < 1 << (8 * w):
+                break
+            w *= 2
+        return (_strip([_to_fractions(c, scale) for c in quot]),
+                _strip([_to_fractions(c, scale) for c in rem]))
 
     def __repr__(self) -> str:
         return "QA"
@@ -435,14 +504,8 @@ class Polynomial:
         den = self._coerce_operand(den)
         if den.is_zero:
             raise DomainError("polynomial division by zero")
-        ring = self.ring
-        if ring is QQ:
-            q, r = _divmod_q(self.coeffs, den.coeffs)
-        elif ring is QA:
-            q, r = _divmod_qa(self.coeffs, den.coeffs)
-        else:
-            q, r = _divmod_ints(self.coeffs, den.coeffs, ring.p)
-        return _raw(ring, q), _raw(ring, r)
+        q, r = self.ring._divmod(self.coeffs, den.coeffs)
+        return _raw(self.ring, q), _raw(self.ring, r)
 
     def __mod__(self, den: "Polynomial"):
         return divmod(self, den)[1]
@@ -542,11 +605,7 @@ def _mul_coeffs(ring: CoefficientRing, a: tuple, b: tuple) -> tuple:
             return rest
         # Zero entries are falsy in every ring and stay as they are.
         return tuple([ring.mul(c, r) if r else r for r in rest])
-    if ring is QQ:
-        return _mul_coeffs_q(a, b)
-    if ring is QA:
-        return _mul_coeffs_qa(a, b)
-    return _mul_coeffs_fp(a, b, ring.p)
+    return ring._product(a, b)
 
 
 # Below this many nonzero terms in the shorter operand the zero-skipping
@@ -631,25 +690,6 @@ def _to_fractions(ints: list[int], den: int) -> tuple:
     return tuple([Fraction(c, den) if c else zero for c in ints])
 
 
-def _mul_coeffs_q(a: tuple, b: tuple) -> tuple:
-    ia, da = _clear_denominators(a)
-    ib, db = (ia, da) if b is a else _clear_denominators(b)
-    return _to_fractions(_convolve(ia, ib), da * db)
-
-
-def _mul_coeffs_qa(a: tuple, b: tuple) -> tuple:
-    # Products of a-degrees stay below width, so each x-degree of the flat
-    # product keeps its own block.
-    width = max(map(len, a)) + max(map(len, b)) - 1
-    fa, da = _flatten(a, width)
-    fb, db = (fa, da) if b is a else _flatten(b, width)
-    flat = _convolve(fa, fb)
-    out = [()] * (len(a) + len(b) - 1)
-    for k in {s - s % width for s, c in enumerate(flat) if c}:
-        out[k // width] = _to_fractions(flat[k:k + width], da * db)
-    return tuple(out)
-
-
 def _flatten(coeffs: tuple, width: int) -> tuple[list[int], int]:
     """Q[a][x] coefficients as integers at slot i*width + j over one denominator."""
     ints, den = _clear_denominators([f for c in coeffs for f in c])
@@ -660,10 +700,6 @@ def _flatten(coeffs: tuple, width: int) -> tuple[list[int], int]:
             flat[i * width:i * width + len(c)] = ints[pos:pos + len(c)]
             pos += len(c)
     return flat, den
-
-
-def _mul_coeffs_fp(a: tuple, b: tuple, p: int) -> tuple:
-    return _strip([c % p for c in _convolve(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -691,52 +727,6 @@ def _divmod_ints(num: Iterable[int], den: Sequence[int],
                 rem[base + i] -= c * di
     rem = rem[:dd] if p is None else [c % p for c in rem[:dd]]
     return tuple(quot), _strip(rem)
-
-
-def _divmod_q(num: tuple, den: tuple) -> tuple[tuple, tuple]:
-    # A monic integer divisor keeps the loop in Z.  The cleared numerator
-    # goes in as a generator, so no list holds its ints while the loop runs.
-    if den[-1] == 1 and all(c.denominator == 1 for c in den):
-        scale = math.lcm(*(c.denominator for c in num))
-        ints = (c.numerator * (scale // c.denominator) for c in num)
-        quot, rem = _divmod_ints(ints, [int(c) for c in den])
-        return _to_fractions(quot, scale), _to_fractions(rem, scale)
-    return _divmod_generic(QQ, num, den)
-
-
-def _divmod_qa(num: tuple, den: tuple) -> tuple[tuple, tuple]:
-    """Q[a] division; a divisor D monic in x over Z[a] runs on packed ints.
-
-    N, cleared to Z[a] once, and D are packed at a = 2**(8w), a ring map to
-    Z under which D stays monic, so _divmod_ints gives the images of the
-    quotient Q and remainder R, and their slots give Q' and R'.  Every
-    a-coefficient of E = Q'*D + R' - N is at most max|Q'| * |D|_1 + max|R'|
-    + max|N| in size.  When that is below 2**(8w), E = 0, since E vanishes
-    at a = 2**(8w) and the lowest nonzero coefficient of such a polynomial
-    is a multiple of 2**(8w).  Division by a monic D is unique, so Q' = Q
-    and R' = R; otherwise w doubles.  Other divisors take the ring loop.
-    """
-    if den[-1] != QA.one or any(f.denominator != 1 for c in den for f in c):
-        return _divmod_generic(QA, num, den)
-    scale = math.lcm(*(f.denominator for c in num for f in c))
-    ints = [[f.numerator * (scale // f.denominator) for f in c] for c in num]
-    dints = [[f.numerator for f in c] for c in den]
-    max_n = max((abs(v) for c in ints for v in c), default=0)
-    norm_d = sum(abs(v) for c in dints for v in c)
-    w = (max(max_n, 1) * norm_d).bit_length() // 8 + 1
-    while True:
-        quot, rem = _divmod_ints((_pack(c, w) if c else 0 for c in ints),
-                                 [_pack(c, w) if c else 0 for c in dints])
-        # n' slots put |v| in (2**(8w(n'-1)-2), 2**(8wn')): count n' or n'+1
-        quot, rem = ([_unpack(v, w, (v.bit_length() + 1) // (8 * w) + 1)
-                      for v in vs] for vs in (quot, rem))
-        max_q = max((abs(v) for c in quot for v in c), default=0)
-        max_r = max((abs(v) for c in rem for v in c), default=0)
-        if max_q * norm_d + max_r + max_n < 1 << (8 * w):
-            break
-        w *= 2
-    return (_strip([_to_fractions(c, scale) for c in quot]),
-            _strip([_to_fractions(c, scale) for c in rem]))
 
 
 def _divmod_generic(ring: CoefficientRing, num: tuple,

@@ -28,6 +28,8 @@ RUNS = [
     ("dynatomic --d 11 --format json",
      ["dynatomic", "--f", "x^2+2*x-1", "--d", "11", "--format", "json"],
      "peak KB", 0),
+    ("dynatomic --f x^2+1 --d 22",
+     ["dynatomic", "--f", "x^2+1", "--d", "22"], "wall s", 1),
     ("cover --n 3811 --certificate",
      ["cover", "--d", "133063438889", "--n", "3811",
       "--certificate", "cover.json", "--format", "json"], "peak KB", 0),

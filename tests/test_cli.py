@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -94,13 +95,49 @@ class TestDynatomicCommand:
         ((), "error: need --d or --m/--n\n"),
         (("--d", "3", "--m", "1", "--n", "2"),
          "error: --d does not go with --m/--n\n"),
-    ], ids=["m_without_n", "no_index", "d_with_m_and_n"])
+        # index checks come before the degree cap
+        (("--d", "0"), "error: dynatomic index must be >= 1\n"),
+        (("--m", "-1", "--n", "30"),
+         "error: generalized dynatomic needs m >= 0, n >= 1\n"),
+    ], ids=["m_without_n", "no_index", "d_with_m_and_n", "d0", "negative_m"])
     def test_missing_index_exit_one(self, capsys, argv, message):
         code = main(["dynatomic", "--f", "x^2+1", *argv])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == message
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--d", "22"), "degree 4192254 of the (0, 22) dynatomic"),
+        (("--m", "10", "--n", "5"), "degree 15360 of the (10, 5) dynatomic"),
+    ], ids=["d22", "m10_n5"])
+    def test_over_the_cap_is_refused_before_building(self, capsys, argv,
+                                                     message):
+        start = time.perf_counter()
+        code = main(["dynatomic", "--f", "x^2+1", *argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message} exceeds the cap 5000\n"
+        assert elapsed < 0.5
+
+    def test_degree_cap_env_bounds_dynatomic(self, capsys, monkeypatch):
+        monkeypatch.setenv("DYNLAB_DEGREE_CAP", "10")
+        code = main(["dynatomic", "--f", "x^2+1", "--d", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: degree 30 of the (0, 5) dynatomic "
+                                "exceeds the cap 10\n")
+
+    def test_linear_map_is_refused_before_the_cap(self, capsys):
+        # 2**(m+n-2) bounds the degree only for deg(f) >= 2
+        code = main(["dynatomic", "--f", "x+1", "--d", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: dynatomic constructions need "
+                                "deg(f) >= 2\n")
 
 
 class TestRelationCommand:

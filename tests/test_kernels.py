@@ -2,13 +2,15 @@
 
 Each kernel is compared with a plain loop kept here as the reference:
 schoolbook convolution for ``_convolve``, the coefficient-by-coefficient
-ring loop for products over Q, F_p and Q[a], ``_divmod_generic`` for
-the integer division loop ``_divmod_ints`` over Z and F_p and for the packed
-Q[a] division ``_divmod_qa``, and plain Horner for ``Polynomial.compose``.
+ring loop for each ring's ``_product`` over Q, F_p and Q[a],
+``_divmod_generic`` for the integer division loop ``_divmod_ints`` over Z
+and F_p and for the packed Q[a] division ``QA._divmod``, and plain Horner
+for ``Polynomial.compose``.
 Inputs are seeded.  Every division kernel returns a zero quotient and the
 numerator itself when the numerator's degree is below the divisor's.
 """
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -18,10 +20,10 @@ import pytest
 import dynlab.polycore as polycore
 from dynlab.cyclotomic import cyclotomic_poly
 from dynlab.dynatomic import dynatomic_poly
-from dynlab.errors import ExactDivisionError
+from dynlab.errors import DomainError, ExactDivisionError
 from dynlab.polycore import (QA, QQ, Polynomial, PrimeField, _SCHOOLBOOK_TERMS,
                              _convolve, _divmod_generic, _divmod_ints,
-                             _divmod_q, _divmod_qa, _unpack, parse_polynomial)
+                             _unpack, parse_polynomial)
 
 PRIMES = (2, 7121, 2**61 - 1)
 
@@ -120,7 +122,7 @@ class TestConvolve:
                 while slots and not slots[-1]:
                     slots.pop()
                 value = sum(c * base**k for k, c in enumerate(slots))
-                # the slot count that _divmod_qa sizes from the bit length
+                # the slot count that QA._divmod sizes from the bit length
                 count = (value.bit_length() + 1) // (8 * w) + 1
                 assert len(slots) <= count <= len(slots) + 1
                 for extra in (0, 1, 2):
@@ -232,7 +234,7 @@ def test_fp_division(p):
 
 
 def test_z_monic_division_matches_the_ring_loop():
-    """_divmod_q's integer route, for integer and rational numerators."""
+    """QQ._divmod's integer route, for integer and rational numerators."""
     rng = random.Random(1100)
     for _ in range(60):
         bits = rng.choice((1, 10, 90))
@@ -242,7 +244,7 @@ def test_z_monic_division_matches_the_ring_loop():
                                for _ in range(rng.randint(0, 120))])
         for num in (ints, rand_poly(rng, QQ, rng.randint(0, 120), bits)):
             expected = _divmod_generic(QQ, num.coeffs, den.coeffs)
-            assert _divmod_q(num.coeffs, den.coeffs) == expected
+            assert QQ._divmod(num.coeffs, den.coeffs) == expected
             q, r = divmod(num, den)
             assert (q.coeffs, r.coeffs) == expected
             assert q * den + r == num
@@ -273,18 +275,18 @@ def test_division_by_sparse_cyclotomics(ring):
 
 
 SHORT_NUMERATORS = [
-    # Z-monic: the integer loop of _divmod_q
-    ("Z-monic", _divmod_q, QQ, [3, -1], [1, 0, 2, 1]),
+    # Z-monic: the integer loop of QQ._divmod
+    ("Z-monic", QQ._divmod, QQ, [3, -1], [1, 0, 2, 1]),
     ("Z-ints", _divmod_ints, QQ, [3, -1], [1, 0, 2, 1]),
     # a rational numerator over a Z-monic divisor takes the integer loop too
-    ("Q-over-Z-monic", _divmod_q, QQ, [Fraction(1, 2), 5], [1, 0, 2, 1]),
-    # Q, not monic: _divmod_q hands over to the generic loop
-    ("Q", _divmod_q, QQ, [Fraction(1, 2), 5], [1, 0, 3]),
+    ("Q-over-Z-monic", QQ._divmod, QQ, [Fraction(1, 2), 5], [1, 0, 2, 1]),
+    # Q, not monic: QQ._divmod hands over to the generic loop
+    ("Q", QQ._divmod, QQ, [Fraction(1, 2), 5], [1, 0, 3]),
     ("Fp", lambda n, d: _divmod_ints(n, d, 7), PrimeField(7), [6, 2], [1, 3, 5]),
     ("Qa", lambda n, d: _divmod_generic(QA, n, d), QA,
      [(1, 2), (), (0, 0, 1)], [(1,), (0, 1), (3,), (Fraction(1, 3),)]),
-    # monic over Z[a]: the packed loop of _divmod_qa
-    ("Qa-packed", _divmod_qa, QA,
+    # monic over Z[a]: the packed loop of QA._divmod
+    ("Qa-packed", QA._divmod, QA,
      [(1, 2), (), (0, 0, Fraction(1, 3))], [(1,), (0, -1), (3,), (1,)]),
 ]
 
@@ -312,11 +314,11 @@ def z_monic_qa_divisor(rng, length, bits):
 
 
 def count_packed_loops(monkeypatch):
-    """Record the integer loops that _divmod_qa runs on packed operands."""
+    """Record the integer loops that QA._divmod runs on packed operands."""
     calls = []
 
     def counted(*args):
-        if sys._getframe(1).f_code is _divmod_qa.__code__:
+        if sys._getframe(1).f_code is QA._divmod.__func__.__code__:
             calls.append(args)
         return _divmod_ints(*args)
 
@@ -325,12 +327,12 @@ def count_packed_loops(monkeypatch):
 
 
 class TestPackedQaDivision:
-    """_divmod_qa packs a divisor monic over Z[a] at a = 2**(8w); the ring
+    """QA._divmod packs a divisor monic over Z[a] at a = 2**(8w); the ring
     loop _divmod_generic stays the reference."""
 
     def check(self, num, den):
         expected = _divmod_generic(QA, num.coeffs, den.coeffs)
-        assert _divmod_qa(num.coeffs, den.coeffs) == expected
+        assert QA._divmod(num.coeffs, den.coeffs) == expected
         q, r = divmod(num, den)
         assert (q.coeffs, r.coeffs) == expected
         assert q * den + r == num
@@ -375,6 +377,43 @@ class TestPackedQaDivision:
         with pytest.raises(ExactDivisionError):
             divmod(num, parse_polynomial("a*x + 1", QA))
         assert not calls
+
+
+@pytest.mark.parametrize("ring", [QQ, QA], ids=["Q", "Qa"])
+def test_a_second_instance_computes_like_the_first(ring):
+    """A ring built as type(QQ)() or type(QA)() carries the same kernels:
+    both product routes (fewer than _SCHOOLBOOK_TERMS nonzero terms in the
+    shorter factor, and more) and both division routes (a divisor monic
+    over Z or Z[a], and the ring loop) give the coefficients of QQ or QA.
+    It is still a ring of its own, so mixing it with QQ or QA is refused."""
+    other = type(ring)()
+    rng = random.Random(repr(ring) + "second")
+
+    def dense(length):
+        return Polynomial(ring, [ring.coerce(rand_coeff(rng, ring, 20))
+                                 or ring.one for _ in range(length)])
+
+    def over_other(poly):
+        return Polynomial(other, poly.coeffs)
+
+    long, short = dense(2 * _SCHOOLBOOK_TERMS), dense(4)
+    if ring is QA:
+        monic = z_monic_qa_divisor(rng, 6, 8)
+    else:
+        monic = Polynomial(QQ, [signed(rng, 8) for _ in range(5)] + [1])
+    generic = short + Polynomial.x(ring) ** 4 * 3  # lead 3: the ring loop
+    for f, g in ((long, short), (long, long), (short, short)):
+        assert (over_other(f) * over_other(g)).coeffs == (f * g).coeffs
+    for den in (monic, generic):
+        q, r = divmod(over_other(long), over_other(den))
+        assert (q.coeffs, r.coeffs) == tuple(
+            p.coeffs for p in divmod(long, den))
+        assert q.ring is other and r.ring is other
+    for op in (operator.mul, divmod):
+        with pytest.raises(DomainError):
+            op(over_other(long), short)
+        with pytest.raises(DomainError):
+            op(long, over_other(short))
 
 
 def horner(outer, inner):
